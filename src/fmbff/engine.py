@@ -282,8 +282,17 @@ def _pair(v):
 def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """2-D convolution (cross-correlation) with zero padding and groups.
 
-    Computed as a tap-wise accumulation of channel GEMMs, which keeps the
-    memory footprint linear in the input size (no full im2col buffer).
+    Each kernel class has one lowering, none of which builds a full im2col
+    buffer:
+
+    * 1x1 (stride 1, no padding, one group): a single batched GEMM of the
+      ``(Cout, Cin)`` weight against the ``(N, Cin, H*W)`` view of ``x``.
+    * depthwise (``groups == Cin == Cout``, any kernel, stride or padding):
+      one banded GEMM per kernel row, where each input row is multiplied by a
+      ``(W, Wo)`` band that holds the row's taps at their column offsets and
+      absorbs the column padding and stride.
+    * everything else (dense k x k and other grouped convs): a tap-wise
+      accumulation of channel GEMMs over a zero-padded copy of ``x``.
     """
     if x.ndim != 4:
         raise DimensionError(f"conv2d input must be 4-D, got shape {x.shape}")
@@ -310,82 +319,126 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
             f"spatial output extent would be {ho}x{wo} for input {h}x{wd}"
         )
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    depthwise = groups == cin and cout == cin and cg == 1
-
-    if depthwise:
-        out = np.zeros((n, cout, ho, wo), dtype=x.data.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                xs = xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-                out += w.data[:, 0, i, j][None, :, None, None] * xs
-    elif groups == 1:
-        acc = np.zeros((n, ho, wo, cout), dtype=x.data.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                xs = xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-                acc += np.tensordot(xs, w.data[:, :, i, j], axes=([1], [1]))
-        out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+    # Each lowering returns its output and a function g -> (dx, dw).
+    if (kh, kw, sh, sw, ph, pw, groups) == (1, 1, 1, 1, 0, 0, 1):
+        out, grads = _conv1x1(x.data, w.data)
+    elif groups == cin == cout:
+        out, grads = _conv_depthwise(x.data, w.data, sh, sw, ph, pw, ho, wo)
     else:
-        out = np.zeros((n, cout, ho, wo), dtype=x.data.dtype)
-        dg = cout // groups
-        for gidx in range(groups):
-            xs_g = xp[:, gidx * cg : (gidx + 1) * cg]
-            wg = w.data[gidx * dg : (gidx + 1) * dg]
-            acc = np.zeros((n, ho, wo, dg), dtype=x.data.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    xs = xs_g[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-                    acc += np.tensordot(xs, wg[:, :, i, j], axes=([1], [1]))
-            out[:, gidx * dg : (gidx + 1) * dg] = acc.transpose(0, 3, 1, 2)
-
+        out, grads = _conv_taps(x.data, w.data, sh, sw, ph, pw, ho, wo, groups)
     if b is not None:
-        out = out + b.data[None, :, None, None]
+        out += b.data[None, :, None, None]
 
     def back(g):
         if b is not None:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w.data)
-        if depthwise:
-            for i in range(kh):
-                for j in range(kw):
-                    xs = xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-                    dw[:, 0, i, j] = (g * xs).sum(axis=(0, 2, 3))
-                    dxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += (
-                        w.data[:, 0, i, j][None, :, None, None] * g
-                    )
-        elif groups == 1:
-            for i in range(kh):
-                for j in range(kw):
-                    xs = xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-                    dw[:, :, i, j] = np.tensordot(g, xs, axes=([0, 2, 3], [0, 2, 3]))
-                    contrib = np.tensordot(g, w.data[:, :, i, j], axes=([1], [0]))
-                    dxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += (
-                        contrib.transpose(0, 3, 1, 2)
-                    )
-        else:
-            dg_ = cout // groups
-            for gidx in range(groups):
-                sl_in = slice(gidx * cg, (gidx + 1) * cg)
-                sl_out = slice(gidx * dg_, (gidx + 1) * dg_)
-                gg = g[:, sl_out]
-                wg = w.data[sl_out]
-                for i in range(kh):
-                    for j in range(kw):
-                        xs = xp[:, sl_in, i : i + sh * ho : sh, j : j + sw * wo : sw]
-                        dw[sl_out, :, i, j] = np.tensordot(
-                            gg, xs, axes=([0, 2, 3], [0, 2, 3])
-                        )
-                        contrib = np.tensordot(gg, wg[:, :, i, j], axes=([1], [0]))
-                        dxp[:, sl_in, i : i + sh * ho : sh, j : j + sw * wo : sw] += (
-                            contrib.transpose(0, 3, 1, 2)
-                        )
+        dx, dw = grads(g)
         _accumulate(w, dw)
-        _accumulate(x, dxp[:, :, ph : ph + h, pw : pw + wd])
+        _accumulate(x, dx)
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor._from_op(out, parents, back)
+
+
+def _conv1x1(x, w):
+    """1x1 conv as one batched GEMM ``w2 @ x3`` over the flattened pixels."""
+    n, cin, h, wd = x.shape
+    cout = w.shape[0]
+    x3 = x.reshape(n, cin, h * wd)
+    w2 = w.reshape(cout, cin)
+    out = np.matmul(w2, x3).reshape(n, cout, h, wd)
+
+    def grads(g):
+        g3 = g.reshape(n, cout, h * wd)
+        dx = np.matmul(w2.T, g3).reshape(x.shape)
+        dw = np.matmul(g3, x3.swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
+        return dx, dw
+
+    return out, grads
+
+
+def _conv_depthwise(x, w, sh, sw, ph, pw, ho, wo):
+    """Depthwise conv as one banded GEMM per kernel row.
+
+    ``band[c, i, p, q] = w[c, 0, i, j]`` where input column
+    ``p = q*sw + j - pw`` feeds output column ``q``; columns that fall in the
+    padding have no entry.  Output row ``r`` takes input row ``r*sh + i - ph``
+    through ``band[:, i]``; rows that fall in the padding are skipped.
+    """
+    n, c, h, wd = x.shape
+    kh, kw = w.shape[2:]
+    band = np.zeros((c, kh, wd, wo), dtype=x.dtype)
+    taps = []  # (kernel column, input columns, output columns) inside x
+    for j in range(kw):
+        q = np.arange(wo)
+        p = q * sw + j - pw
+        inside = (p >= 0) & (p < wd)
+        taps.append((j, p[inside], q[inside]))
+        band[:, :, p[inside], q[inside]] = w[:, 0, :, j, None]
+
+    rows = []  # (kernel row, output rows, input rows) inside x
+    for i in range(kh):
+        lo = max(0, -((i - ph) // sh))
+        hi = min(ho, (h - 1 - i + ph) // sh + 1)
+        if lo < hi:
+            start = lo * sh + i - ph
+            rows.append((i, slice(lo, hi), slice(start, start + sh * (hi - lo - 1) + 1, sh)))
+
+    out = np.zeros((n, c, ho, wo), dtype=x.dtype)
+    for i, r_out, r_in in rows:
+        out[:, :, r_out] += np.matmul(x[:, :, r_in], band[:, i])
+
+    def grads(g):
+        dx = np.zeros_like(x)
+        dw = np.zeros_like(w)
+        band_t = np.ascontiguousarray(band.swapaxes(2, 3))
+        for i, r_out, r_in in rows:
+            g_rows = g[:, :, r_out]
+            dx[:, :, r_in] += np.matmul(g_rows, band_t[:, i])
+            dband = np.matmul(x[:, :, r_in].swapaxes(2, 3), g_rows).sum(axis=0)
+            for j, p, q in taps:
+                dw[:, 0, i, j] = dband[:, p, q].sum(axis=1)
+        return dx, dw
+
+    return out, grads
+
+
+def _conv_taps(x, w, sh, sw, ph, pw, ho, wo, groups):
+    """Dense or grouped conv as a tap-wise accumulation of channel GEMMs."""
+    n, _, h, wd = x.shape
+    cout, cg, kh, kw = w.shape
+    dg = cout // groups
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    out = np.zeros((n, cout, ho, wo), dtype=x.dtype)
+    for gidx in range(groups):
+        xs_g = xp[:, gidx * cg : (gidx + 1) * cg]
+        wg = w[gidx * dg : (gidx + 1) * dg]
+        acc = np.zeros((n, ho, wo, dg), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                xs = xs_g[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
+                acc += np.tensordot(xs, wg[:, :, i, j], axes=([1], [1]))
+        out[:, gidx * dg : (gidx + 1) * dg] = acc.transpose(0, 3, 1, 2)
+
+    def grads(g):
+        dxp = np.zeros_like(xp)
+        dw = np.zeros_like(w)
+        for gidx in range(groups):
+            sl_in = slice(gidx * cg, (gidx + 1) * cg)
+            sl_out = slice(gidx * dg, (gidx + 1) * dg)
+            gg = g[:, sl_out]
+            wg = w[sl_out]
+            for i in range(kh):
+                for j in range(kw):
+                    xs = xp[:, sl_in, i : i + sh * ho : sh, j : j + sw * wo : sw]
+                    dw[sl_out, :, i, j] = np.tensordot(gg, xs, axes=([0, 2, 3], [0, 2, 3]))
+                    contrib = np.tensordot(gg, wg[:, :, i, j], axes=([1], [0]))
+                    dxp[:, sl_in, i : i + sh * ho : sh, j : j + sw * wo : sw] += (
+                        contrib.transpose(0, 3, 1, 2)
+                    )
+        return dxp[:, :, ph : ph + h, pw : pw + wd], dw
+
+    return out, grads
 
 
 def dws_conv3x3(x, dw_weight, dw_bias, pw_weight, pw_bias):
@@ -491,6 +544,8 @@ def bilinear_resize(x, out_h, out_w):
     if out_h < 1 or out_w < 1:
         raise DimensionError(f"target extents must be >= 1, got {out_h}x{out_w}")
     n, c, h, w = x.shape
+    if (out_h, out_w) == (h, w):
+        return Tensor._from_op(x.data, (x,), lambda g: _accumulate(x, g))
     wh = _linear_weights(h, out_h, x.data.dtype)
     ww = _linear_weights(w, out_w, x.data.dtype)
     out = np.matmul(np.matmul(wh, x.data), ww.T)

@@ -95,6 +95,71 @@ class TestConv2d:
             conv2d(x, Tensor(np.zeros((2, 2, 1, 1), dtype=np.float32)))
 
 
+def _naive_conv(x, w, b, stride, pad, groups):
+    """Float64 loop reference: one window dot product per output pixel."""
+    (sh, sw), (ph, pw) = stride, pad
+    n, cin, h, wd = x.shape
+    cout, cg, kh, kw = w.shape
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    out = np.zeros((n, cout, ho, wo))
+    for co in range(cout):
+        c0 = (co // (cout // groups)) * cg
+        for r in range(ho):
+            for q in range(wo):
+                window = xp[:, c0 : c0 + cg, r * sh : r * sh + kh, q * sw : q * sw + kw]
+                out[:, co, r, q] = (window * w[co]).sum(axis=(1, 2, 3)) + b[co]
+    return out
+
+
+# (name, x shape, weight shape, stride, pad, groups); 1x1 and depthwise
+# cases cover both dedicated lowerings, including strided and over-padded
+# depthwise convs that the model itself never runs.
+KERNEL_CLASS_CASES = [
+    ("1x1", (2, 3, 4, 5), (4, 3, 1, 1), (1, 1), (0, 0), 1),
+    ("1x1_pooled", (2, 3, 1, 1), (4, 3, 1, 1), (1, 1), (0, 0), 1),
+    ("1x1_permuted", "permuted", (4, 3, 1, 1), (1, 1), (0, 0), 1),
+    ("dw_stride1", (2, 3, 5, 6), (3, 1, 3, 3), (1, 1), (1, 1), 3),
+    ("dw_stride2", (2, 3, 5, 6), (3, 1, 3, 3), (2, 2), (1, 1), 3),
+    ("dw_stride2x1", (2, 3, 5, 6), (3, 1, 3, 3), (2, 1), (1, 1), 3),
+    ("dw_pad0", (2, 3, 5, 6), (3, 1, 3, 3), (1, 1), (0, 0), 3),
+    ("dw_pad0x2", (2, 3, 5, 6), (3, 1, 3, 3), (1, 1), (0, 2), 3),
+    ("dw_pad3", (1, 2, 4, 5), (2, 1, 3, 3), (1, 1), (3, 3), 2),
+    ("dw_5x3", (2, 3, 6, 5), (3, 1, 5, 3), (1, 1), (2, 1), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "name,xshape,wshape,stride,pad,groups", KERNEL_CLASS_CASES, ids=[c[0] for c in KERNEL_CLASS_CASES]
+)
+def test_conv_kernel_classes(name, xshape, wshape, stride, pad, groups):
+    """1x1 and depthwise lowerings match a float64 loop and finite differences."""
+    rng = np.random.default_rng(len(name))
+    with dtype_session(np.float64):
+        if xshape == "permuted":
+            # tsa_forward's layout: (n, h*w, c) tokens viewed as an (n, c, h, w) map
+            x = Tensor(rng.standard_normal((2, 20, 3)))
+            as_map = lambda t: reshape(permute(t, (0, 2, 1)), (2, 3, 4, 5))
+            assert not as_map(x).data.flags.c_contiguous
+        else:
+            x = Tensor(rng.standard_normal(xshape))
+            as_map = lambda t: t
+        w = Tensor(rng.standard_normal(wshape))
+        b = Tensor(rng.standard_normal(wshape[0]))
+        out = conv2d(as_map(x), w, b, stride=stride, pad=pad, groups=groups)
+        ref = _naive_conv(as_map(x).data, w.data, b.data, stride, pad, groups)
+        np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+        probe = rng.standard_normal(ref.shape)
+        leaves = {"x": x, "w": w, "b": b}
+        for slot, leaf in leaves.items():
+            def f(t, slot=slot):
+                a = dict(leaves, **{slot: t})
+                y = conv2d(as_map(a["x"]), a["w"], a["b"], stride, pad, groups)
+                return sum_(mul(y, probe))
+            assert finite_diff_check(f, leaf) < 1e-6, slot
+
+
 class TestDwsConv:
     def test_identity(self):
         x = Tensor(np.random.default_rng(1).random((1, 2, 4, 4)).astype(np.float32))
@@ -163,8 +228,14 @@ class TestBilinearResize:
         np.testing.assert_allclose(out.data[0, 0, 0], [1, 2, 3], atol=1e-6)
 
     def test_same_size_identity(self):
-        x = Tensor(np.random.default_rng(3).random((1, 2, 5, 6)).astype(np.float32))
-        np.testing.assert_array_equal(bilinear_resize(x, 5, 6).data, x.data)
+        # forward and backward are both exact pass-throughs
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.random((2, 3, 5, 6)).astype(np.float32))
+        upstream = rng.standard_normal((2, 3, 5, 6)).astype(np.float32)
+        out = bilinear_resize(x, 5, 6)
+        backward(sum_(mul(out, upstream)))
+        np.testing.assert_array_equal(out.data, x.data)
+        np.testing.assert_array_equal(x.grad, upstream)
 
 
 class TestNormalize:
