@@ -2,7 +2,11 @@
 
 Layout convention for image-like data is N x C x H x W.  Every operation
 returns a fresh Tensor whose backward closure scatters gradients into its
-inputs; ``backward(loss)`` runs the whole reverse sweep.  The element type
+inputs; ``backward(loss)`` runs the whole reverse sweep and frees each
+interior gradient once its closure has consumed it, so only leaves hold
+``.grad`` afterwards and a step's memory is bounded by what the rest of the
+sweep still needs.  Closures keep compact state (bool masks rather than
+float ones) for the same reason.  The element type
 of new leaves follows the session default (float32 for training, float64
 for gradient checking, see ``dtype_session``).
 """
@@ -96,6 +100,9 @@ class Tensor:
 
 
 def _accumulate(t, g):
+    # The first gradient is copied, never borrowed: ``g`` may be a view or a
+    # broadcast, and its layout would send later BLAS calls and reductions
+    # down other paths, changing the low bits of the result.
     if t.grad is None:
         t.grad = np.array(g, dtype=t.data.dtype, copy=True)
     else:
@@ -119,10 +126,11 @@ def _as_array(x):
 
 
 def backward(loss):
-    """Populate grads of everything reachable from a scalar loss.
+    """Accumulate the gradient of a scalar loss into every reachable leaf.
 
-    Repeated calls keep accumulating into leaves; intermediate grads are
-    reset at the start of each sweep so only leaf accumulation persists.
+    Only leaves hold ``.grad`` afterwards: each interior node's gradient is
+    released as soon as its backward closure has consumed it.  Repeated
+    calls keep accumulating into leaves.
     """
     if not isinstance(loss, Tensor) or loss._backward is None:
         raise UsageError("backward() requires a non-leaf Tensor produced by an op")
@@ -153,6 +161,7 @@ def backward(loss):
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +229,7 @@ def log(x):
 
 def clip(x, lo, hi):
     data = np.clip(x.data, lo, hi)
-    inside = ((x.data >= lo) & (x.data <= hi)).astype(x.data.dtype)
+    inside = (x.data >= lo) & (x.data <= hi)
     return Tensor._from_op(data, (x,), lambda g: _accumulate(x, g * inside))
 
 
@@ -392,10 +401,17 @@ def _conv_depthwise(x, w, sh, sw, ph, pw, ho, wo):
         dx = np.zeros_like(x)
         dw = np.zeros_like(w)
         band_t = np.ascontiguousarray(band.swapaxes(2, 3))
+        dband = np.empty((c, wd, wo), dtype=x.dtype)
+        tmp = np.empty_like(dband)
         for i, r_out, r_in in rows:
             g_rows = g[:, :, r_out]
             dx[:, :, r_in] += np.matmul(g_rows, band_t[:, i])
-            dband = np.matmul(x[:, :, r_in].swapaxes(2, 3), g_rows).sum(axis=0)
+            # Sum over the batch one sample at a time from zero, the order
+            # ``.sum(axis=0)`` uses, without building the (N, C, W, Wo) product.
+            dband.fill(0)
+            for k in range(n):
+                np.matmul(x[k, :, r_in].swapaxes(1, 2), g_rows[k], out=tmp)
+                dband += tmp
             for j, p, q in taps:
                 dw[:, 0, i, j] = dband[:, p, q].sum(axis=1)
         return dx, dw
@@ -640,7 +656,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def relu(x):
-    mask = (x.data > 0).astype(x.data.dtype)
+    mask = x.data > 0
     return Tensor._from_op(x.data * mask, (x,), lambda g: _accumulate(x, g * mask))
 
 
@@ -761,8 +777,14 @@ def dropout(x, p, mode, rng=None):
         raise ConfigurationError(f"unknown mode {mode!r}")
     if rng is None:
         raise UsageError("train-mode dropout requires an rng")
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return Tensor._from_op(x.data * mask, (x,), lambda g: _accumulate(x, g * mask))
+    # The float mask is rebuilt as ``keep * scale`` in each pass so the
+    # closure holds one byte per element; the values equal those of
+    # ``keep.astype(dtype) / (1 - p)`` bit for bit.
+    keep = rng.random(x.shape) >= p
+    scale = np.ones((), dtype=x.data.dtype) / (1.0 - p)
+    return Tensor._from_op(
+        x.data * (keep * scale), (x,), lambda g: _accumulate(x, g * (keep * scale))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -859,8 +881,12 @@ def finite_diff_check(f, x, h=1e-5):
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` must map ``x`` to a scalar Tensor and be deterministic (run dropout
-    in eval mode); determinism is verified by evaluating twice.
+    in eval mode); determinism is verified by evaluating twice.  ``x`` must be
+    a leaf, since ``backward`` keeps gradients on leaves only; its data may be
+    any strided array and is perturbed in place, one element at a time.
     """
+    if not isinstance(x, Tensor) or not x.is_leaf():
+        raise UsageError("finite_diff_check requires a leaf Tensor x")
     y = f(x)
     y2 = f(x)
     if not isinstance(y, Tensor) or y.size != 1:
@@ -874,16 +900,14 @@ def finite_diff_check(f, x, h=1e-5):
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
 
     numeric = np.zeros_like(x.data)
-    flat = x.data.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
+    for i in np.ndindex(x.shape):
+        orig = x.data[i]
+        x.data[i] = orig + h
         fp = float(f(x).data.reshape(()))
-        flat[i] = orig - h
+        x.data[i] = orig - h
         fm = float(f(x).data.reshape(()))
-        flat[i] = orig
-        num_flat[i] = (fp - fm) / (2.0 * h)
+        x.data[i] = orig
+        numeric[i] = (fp - fm) / (2.0 * h)
 
     # The 1e-3 floor keeps finite-difference roundoff noise on (near-)zero
     # gradients from registering as a large relative disagreement.

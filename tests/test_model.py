@@ -122,6 +122,24 @@ class TestModelForward:
             assert t.grad is not None, f"no grad for {name}"
             assert np.abs(t.grad).max() > 0, f"all-zero grad for {name}"
 
+    def test_backward_leaves_grads_on_leaves_only(self):
+        params = build_model(tiny_config())
+        x = Tensor(np.random.default_rng(7).random((2, 3, 16, 16)).astype(np.float32))
+        trace = model_forward(x, params, mode="train", rng=np.random.default_rng(0))
+        loss = sum_(trace.f_out)
+        backward(loss)
+        nodes, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        interior = [n for n in nodes if not n.is_leaf()]
+        assert interior and all(n.grad is None for n in interior)
+        for name, t in params.store.items():
+            assert t.grad is not None, f"no grad for {name}"
+
     def test_stage_matched_skip_mode(self):
         params = build_model(tiny_config(skip_mode="stage_matched"))
         x = Tensor(np.random.default_rng(6).random((1, 3, 16, 16)).astype(np.float32))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fmbff.engine import (
     batch_norm,
     bilinear_resize,
     channel_shuffle,
+    clip,
     concat,
     conv2d,
     dropout,
@@ -289,6 +292,26 @@ class TestActivations:
         out = activation(x, "sigmoid").data
         assert np.all(out > 0) and np.all(out < 1)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "op,float_mask",
+        [
+            (relu, lambda d: (d > 0).astype(d.dtype)),
+            (lambda t: clip(t, -0.5, 0.7), lambda d: ((d >= -0.5) & (d <= 0.7)).astype(d.dtype)),
+        ],
+        ids=["relu", "clip"],
+    )
+    def test_mask_gradient_bitwise(self, op, float_mask, dtype):
+        """The bool masks the closures keep give the float-mask gradient exactly."""
+        rng = np.random.default_rng(17)
+        data = rng.standard_normal((3, 4, 5)).astype(dtype)
+        data.flat[:3] = [-0.0, 0.0, 0.7]
+        x = Tensor(data, dtype=dtype)
+        w = rng.standard_normal(data.shape).astype(dtype)
+        backward(sum_(mul(op(x), Tensor(w, dtype=dtype))))
+        assert x.grad.dtype == data.dtype
+        assert x.grad.tobytes() == (w * float_mask(data)).tobytes()
+
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -379,6 +402,24 @@ class TestDropout:
         out = dropout(x, 0.5, "train", np.random.default_rng(0)).data
         assert set(np.unique(out).tolist()) <= {0.0, 6.0}
 
+    @pytest.mark.parametrize("p", [0.5, 0.3])
+    def test_train_matches_float_mask_bitwise(self, p):
+        """Output and gradient equal the float64-draw float mask exactly.
+
+        This pins the RNG stream: a mask drawn any other way (e.g. in float32)
+        changes which units a seed drops and must update this test.
+        """
+        rng = np.random.default_rng(18)
+        data = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        w = rng.standard_normal(data.shape).astype(np.float32)
+        mask = (np.random.default_rng(7).random(data.shape) >= p).astype(np.float32) / (1 - p)
+        x = Tensor(data)
+        out = dropout(x, p, "train", np.random.default_rng(7))
+        backward(sum_(mul(out, w)))
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == (data * mask).tobytes()
+        assert x.grad.tobytes() == (w * mask).tobytes()
+
     def test_bad_p(self):
         with pytest.raises(ConfigurationError):
             dropout(Tensor(np.zeros(1)), 1.0, "train", np.random.default_rng(0))
@@ -419,12 +460,40 @@ class TestBackward:
         backward(loss)
         np.testing.assert_allclose(x.grad, 4 * np.ones(3))
 
+    def test_interior_grads_released_during_sweep(self):
+        """Peak memory of a sweep stays near one gradient, not one per node."""
+        x = Tensor(np.random.default_rng(19).standard_normal(2**18).astype(np.float32))
+        t = x  # 1 MiB leaf
+        for _ in range(32):
+            t = relu(add(mul(t, 1.5), 0.25))
+        loss = sum_(t)
+        tracemalloc.start()
+        try:
+            backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"backward peaked at {peak / 2**20:.1f} MiB"
+        assert x.grad is not None and t.grad is None and loss.grad is None
+
 
 class TestFiniteDiff:
     def test_sum_of_squares(self):
         with dtype_session(np.float64):
             x = Tensor(np.random.default_rng(13).standard_normal(6))
             assert finite_diff_check(lambda t: sum_(mul(t, t)), x) < 1e-8
+
+    def test_sum_of_squares_transposed_leaf(self):
+        with dtype_session(np.float64):
+            x = Tensor(np.random.default_rng(13).standard_normal((2, 3)).T)
+            assert not x.data.flags.c_contiguous
+            assert finite_diff_check(lambda t: sum_(mul(t, t)), x) < 1e-8
+
+    def test_non_leaf_rejected(self):
+        with dtype_session(np.float64):
+            x = mul(Tensor(np.random.default_rng(13).standard_normal(3)), 2.0)
+            with pytest.raises(UsageError):
+                finite_diff_check(lambda t: sum_(mul(t, t)), x)
 
     def test_sigmoid_chain(self):
         with dtype_session(np.float64):
