@@ -125,7 +125,7 @@ def focal_modulation(i2, params):
     return mul(pow_(params.gamma, params.p_exponent), mul(gate, i2))
 
 
-def fmcab_forward(f_in, params, mode="train"):
+def fmcab_forward(f_in, params):
     _check_channels(f_in, params.channels, "fmcab_forward")
     i1 = relu(
         conv2d(

@@ -18,7 +18,6 @@ import time
 import numpy as np
 
 from . import data, gradcheck, metrics, train as train_mod
-from .engine import Tensor, bilinear_resize
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -29,7 +28,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .model import ModelConfig, build_model, model_forward
+from .model import ModelConfig, build_model, predict_probs
 from .train import TrainConfig
 
 EXIT_OK = 0
@@ -145,11 +144,6 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _threads():
-    raw = os.environ.get("FMBFF_THREADS")
-    return int(raw) if raw else None
-
-
 def write_manifest(out_dir, command, seed, config=None, checkpoint=None, outputs=()):
     manifest = {
         "command": command,
@@ -157,7 +151,6 @@ def write_manifest(out_dir, command, seed, config=None, checkpoint=None, outputs
         "config": config,
         "checkpoint_sha256": _sha256(checkpoint) if checkpoint else None,
         "outputs": sorted(outputs),
-        "threads": _threads(),
         "created_unix": time.time(),
     }
     path = os.path.join(out_dir, "manifest.json")
@@ -227,34 +220,11 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _predict_probs(params, images, batch_size=8):
-    out = []
-    for start in range(0, len(images), batch_size):
-        x = Tensor(np.stack(images[start : start + batch_size]).astype(np.float32))
-        out.append(model_forward(x, params, mode="eval").f_out.data)
-    return np.concatenate(out, axis=0)
-
-
 def cmd_eval(args):
     params, _state = train_mod.load_checkpoint(args.ckpt)
-    h, w = params.config.input_size
     samples = data.load_dataset(args.data)
-
-    images = []
-    for s in samples:
-        if s.image.shape[1:] != (h, w):
-            t = bilinear_resize(Tensor(s.image[None].astype(np.float32)), h, w)
-            images.append(t.data[0])
-        else:
-            images.append(s.image)
-    probs = _predict_probs(params, images)
-
-    pred_by_id = {}
-    for s, prob in zip(samples, probs):
-        oh, ow = s.mask.shape[1:]
-        if (oh, ow) != (h, w):
-            prob = bilinear_resize(Tensor(prob[None]), oh, ow).data[0]
-        pred_by_id[s.id] = prob
+    probs = predict_probs(params, [s.image for s in samples], batch_size=8)
+    pred_by_id = {s.id: prob for s, prob in zip(samples, probs)}
     gt_by_id = {s.id: s.mask for s in samples}
 
     folds = None
@@ -281,15 +251,7 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     params, _state = train_mod.load_checkpoint(args.ckpt)
-    h, w = params.config.input_size
-    image = data.read_image(args.image)
-    oh, ow = image.shape[1:]
-    resized = image
-    if (oh, ow) != (h, w):
-        resized = bilinear_resize(Tensor(image[None].astype(np.float32)), h, w).data[0]
-    prob = _predict_probs(params, [resized])[0]
-    if (oh, ow) != (h, w):
-        prob = bilinear_resize(Tensor(prob[None]), oh, ow).data[0]
+    (prob,) = predict_probs(params, [data.read_image(args.image)], batch_size=1)
 
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.image))[0]

@@ -301,14 +301,7 @@ def write_image(path, image):
 
 
 def read_image(path):
-    """Read a PPM (or PNG, when Pillow is available) into 3xHxW floats."""
-    if str(path).lower().endswith(".png"):
-        try:
-            from PIL import Image
-        except ImportError as exc:  # pragma: no cover - Pillow normally present
-            raise ParseError(f"{path}: PNG support requires Pillow") from exc
-        arr = np.asarray(Image.open(path).convert("RGB"))
-        return (arr.transpose(2, 0, 1) / 255.0).astype(np.float32)
+    """Read a binary PPM (P6, maxval 255) into 3xHxW floats in [0, 1]."""
     data = _read_netpbm(path, b"P6")
     return (data.transpose(2, 0, 1) / 255.0).astype(np.float32)
 
@@ -328,12 +321,6 @@ def read_mask(path):
     """Read a PGM mask, thresholding gray levels above 127 to foreground."""
     data = _read_netpbm(path, b"P5")
     return (data[:, :, 0] > 127).astype(np.float32)[None]
-
-
-def read_gray(path):
-    """Read a PGM file as un-thresholded floats in [0, 1]."""
-    data = _read_netpbm(path, b"P5")
-    return (data[:, :, 0] / 255.0).astype(np.float32)[None]
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,6 @@ from .errors import ConfigurationError, DimensionError, StateError, UsageError
 _DEFAULT_DTYPE = np.float32
 
 
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 def set_default_dtype(dtype):
     global _DEFAULT_DTYPE
     dtype = np.dtype(dtype)
@@ -85,9 +81,6 @@ class Tensor:
 
     def is_leaf(self):
         return self._backward is None
-
-    def zero_grad(self):
-        self.grad = None
 
     def item(self):
         if self.size != 1:
@@ -196,18 +189,6 @@ def mul(a, b):
     return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def elementwise(a, b, kind):
-    """Spec-surface dispatcher for add / sub / mul."""
-    ops = {"add": add, "sub": sub, "mul": mul}
-    if kind not in ops:
-        raise ConfigurationError(f"unknown elementwise kind {kind!r}")
-    return ops[kind](a, b)
-
-
-def neg(x):
-    return Tensor._from_op(-x.data, (x,), lambda g: _accumulate(x, -g))
-
-
 def pow_(x, p):
     """Elementwise x**p for a fixed float exponent."""
     data = x.data ** p
@@ -216,11 +197,6 @@ def pow_(x, p):
         _accumulate(x, g * p * x.data ** (p - 1.0))
 
     return Tensor._from_op(data, (x,), back)
-
-
-def exp(x):
-    data = np.exp(x.data)
-    return Tensor._from_op(data, (x,), lambda g: _accumulate(x, g * data))
 
 
 def log(x):
@@ -522,18 +498,6 @@ def global_max_pool(x):
     return Tensor._from_op(out, (x,), back)
 
 
-def pool(x, kind):
-    """Spec-surface dispatcher over the three pooling variants."""
-    ops = {
-        "max2x2-stride2": max_pool2x2,
-        "global_avg": global_avg_pool,
-        "global_max": global_max_pool,
-    }
-    if kind not in ops:
-        raise ConfigurationError(f"unknown pool kind {kind!r}")
-    return ops[kind](x)
-
-
 # ---------------------------------------------------------------------------
 # resampling
 
@@ -579,9 +543,10 @@ def bilinear_resize(x, out_h, out_w):
 class BatchNormState:
     """Running mean/variance for eval-mode batch normalization."""
 
-    def __init__(self, channels, momentum=0.1):
+    MOMENTUM = 0.1
+
+    def __init__(self, channels):
         self.channels = channels
-        self.momentum = momentum
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
         self.count = 0
@@ -595,7 +560,7 @@ class BatchNormState:
             self.running_mean = np.asarray(mean, dtype=np.float64).copy()
             self.running_var = np.asarray(var, dtype=np.float64).copy()
         else:
-            m = self.momentum
+            m = self.MOMENTUM
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
         self.count += 1
@@ -635,17 +600,6 @@ def batch_norm(x, scale, shift, state, mode, eps=1e-5):
     else:
         raise ConfigurationError(f"unknown mode {mode!r}")
     return _affine(y, scale, shift)
-
-
-def normalize(x, kind, scale, shift, state=None, eps=1e-5, mode="train"):
-    """Spec-surface dispatcher over layer / batch normalization."""
-    if kind == "layer":
-        return layer_norm(x, scale, shift, eps)
-    if kind == "batch":
-        if state is None:
-            raise UsageError("batch normalization requires a BatchNormState")
-        return batch_norm(x, scale, shift, state, mode, eps)
-    raise ConfigurationError(f"unknown normalization kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -688,13 +642,6 @@ def gelu(x):
         _accumulate(x, g * (phi_cdf + x.data * pdf))
 
     return Tensor._from_op(data, (x,), back)
-
-
-def activation(x, kind):
-    ops = {"relu": relu, "gelu": gelu, "sigmoid": sigmoid}
-    if kind not in ops:
-        raise ConfigurationError(f"unknown activation kind {kind!r}")
-    return ops[kind](x)
 
 
 def softmax(x, axis):
@@ -853,10 +800,6 @@ class ParamStore:
 
     def param_count(self):
         return sum(t.size for t in self._entries.values())
-
-    def zero_grads(self):
-        for t in self._entries.values():
-            t.grad = None
 
     def copy_values(self):
         return {name: t.data.copy() for name, t in self._entries.items()}

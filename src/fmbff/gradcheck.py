@@ -92,7 +92,7 @@ def _fmcab_suite():
     params = blocks.FmcabParams.build(store, "b", 4, reduction=4)
     _jitter(store)
     x = Tensor(np.random.default_rng(1).standard_normal((1, 4, 6, 6)))
-    f = lambda: _scalarize(blocks.fmcab_forward(x, params, mode="train"))
+    f = lambda: _scalarize(blocks.fmcab_forward(x, params))
     return _coordinate_errors(f, _named(store, x))
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import blocks
 from .engine import (
     BatchNormState,
@@ -238,7 +240,7 @@ def encoder_forward(f_in, params, mode="train"):
     for i, stage in enumerate(params.stages):
         t = _stage_forward(t, stage, mode)
         outputs.append(t)
-        attended = blocks.fmcab_forward(t, stage.fmcab, mode)
+        attended = blocks.fmcab_forward(t, stage.fmcab)
         if i == 0:
             skips.append(attended)
         else:
@@ -269,6 +271,30 @@ def model_forward(f_in, params, mode="train", rng=None) -> ForwardTrace:
 
     f_out = sigmoid(conv2d(prev, params.head_w, params.head_b))
     return ForwardTrace(skips=skips, f_enc=f_enc, decoder=decoder_outputs, f_out=f_out)
+
+
+def predict_probs(params, images, batch_size):
+    """Eval-mode probability maps, one 1xHxW map per 3xHxW image.
+
+    Images may have any extent: each one that differs from
+    ``config.input_size`` is resized to it, the network runs in batches of
+    ``batch_size``, and each map is resized back to its own image's extent.
+    """
+    h, w = params.config.input_size
+    resized = [
+        image if image.shape[1:] == (h, w)
+        else bilinear_resize(Tensor(image[None]), h, w).data[0]
+        for image in images
+    ]
+    probs = []
+    for start in range(0, len(resized), batch_size):
+        x = Tensor(np.stack(resized[start : start + batch_size]))
+        probs.extend(model_forward(x, params, mode="eval").f_out.data)
+    return [
+        prob if image.shape[1:] == (h, w)
+        else bilinear_resize(Tensor(prob[None]), *image.shape[1:]).data[0]
+        for image, prob in zip(images, probs)
+    ]
 
 
 def param_count(params: ModelParams) -> int:

@@ -18,13 +18,14 @@ import numpy as np
 from . import metrics as metrics_mod
 from .engine import Tensor, add, backward, clip, log, mean_, mul, pow_, sub, sum_
 from .errors import (
+    ConfigurationError,
     DimensionError,
     FormatError,
     ParseError,
     TrainingDiverged,
     UsageError,
 )
-from .model import ModelConfig, ModelParams, build_model, model_forward
+from .model import ModelConfig, ModelParams, build_model, model_forward, predict_probs
 
 _U64 = (1 << 64) - 1
 
@@ -42,10 +43,23 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ConfigurationError(f"lr0 must be a finite value > 0, got {self.lr0}")
+        if self.max_epochs < 1:
+            raise ConfigurationError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+        weights = self.loss_weights
+        if len(weights) != 2 or not all(math.isfinite(v) and v >= 0 for v in weights):
+            raise ConfigurationError(
+                f"loss_weights must be two finite values >= 0 (w_bce, w_dice), got {weights}"
+            )
         if not 0.0 < self.plateau_factor < 1.0:
-            raise UsageError(f"plateau_factor must be in (0,1), got {self.plateau_factor}")
+            raise ConfigurationError(
+                f"plateau_factor must be in (0,1), got {self.plateau_factor}"
+            )
         if self.plateau_patience < 1 or self.early_stop_patience < 1:
-            raise UsageError("patience values must be >= 1")
+            raise ConfigurationError("patience values must be >= 1")
 
 
 @dataclass
@@ -137,22 +151,29 @@ def early_stop(state: TrainState, cfg: TrainConfig):
 # training loop
 
 
-def _forward_probs(params, images, batch_size):
-    """Eval-mode probability maps for a stack of images, batched."""
-    outputs = []
-    for start in range(0, len(images), batch_size):
-        x = Tensor(np.stack(images[start : start + batch_size]))
-        trace = model_forward(x, params, mode="eval")
-        outputs.append(trace.f_out.data)
-    return np.concatenate(outputs, axis=0)
-
-
 def validation_dice(params, samples, batch_size=8, threshold=0.5):
-    images = [s.image for s in samples]
     masks = np.stack([s.mask for s in samples])
-    probs = _forward_probs(params, images, batch_size)
+    probs = np.stack(predict_probs(params, [s.image for s in samples], batch_size))
     confusions = metrics_mod.confusion(probs, masks, threshold)
     return float(np.mean([metrics_mod.metrics_from(c)["d"] for c in confusions]))
+
+
+def _train_step(params, state, x, y, cfg, epoch):
+    """Forward, loss, backward and Adam update on one batch; returns the loss.
+
+    A function of its own so that the step's graph is freed when it returns,
+    before the next step builds another.
+    """
+    trace = model_forward(Tensor(x), params, mode="train", rng=state.rng)
+    batch_loss = loss(trace.f_out, y, *cfg.loss_weights)
+    value = batch_loss.item()
+    if not math.isfinite(value):
+        raise TrainingDiverged(
+            f"loss became {value} at epoch {epoch}, step {state.adam_t + 1}"
+        )
+    backward(batch_loss)
+    adam_step(params.store, state, state.lr)
+    return value
 
 
 def train(params: ModelParams, train_set, val_set, cfg: TrainConfig,
@@ -167,7 +188,6 @@ def train(params: ModelParams, train_set, val_set, cfg: TrainConfig,
         raise UsageError("train and validation sets must be nonempty")
     cfg.validate()
     state = TrainState(lr=cfg.lr0, rng=np.random.default_rng(cfg.seed))
-    w_bce, w_dice = cfg.loss_weights
 
     images = [np.asarray(s.image, dtype=np.float32) for s in train_set]
     masks = [np.asarray(s.mask, dtype=np.float32) for s in train_set]
@@ -179,18 +199,9 @@ def train(params: ModelParams, train_set, val_set, cfg: TrainConfig,
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            x = Tensor(np.stack([images[i] for i in batch]))
+            x = np.stack([images[i] for i in batch])
             y = np.stack([masks[i] for i in batch])
-            trace = model_forward(x, params, mode="train", rng=state.rng)
-            batch_loss = loss(trace.f_out, y, w_bce, w_dice)
-            value = batch_loss.item()
-            if not math.isfinite(value):
-                raise TrainingDiverged(
-                    f"loss became {value} at epoch {epoch}, step {state.adam_t + 1}"
-                )
-            backward(batch_loss)
-            adam_step(params.store, state, state.lr)
-            epoch_losses.append(value)
+            epoch_losses.append(_train_step(params, state, x, y, cfg, epoch))
 
         val_metric = validation_dice(params, val_set, cfg.batch_size)
         lr_used = state.lr
@@ -370,7 +381,19 @@ def _read_exact(blob, offset, count, path):
     return blob[offset : offset + count], offset + count
 
 
+class _Entries(dict):
+    """Checkpoint entries by name; looking up a missing one is a format error."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, name):
+        raise FormatError(f"{self.path}: missing checkpoint entry {name!r}")
+
+
 def read_checkpoint_entries(path):
+    """Every entry of a checkpoint file by name, after checking its framing."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 10:
@@ -380,43 +403,42 @@ def read_checkpoint_entries(path):
     version, count = struct.unpack_from("<HI", blob, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    stored_crc = struct.unpack_from("<I", blob, len(blob) - 4)[0]
-    actual_crc = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
-    if stored_crc != actual_crc:
+    body = blob[:-4]
+    stored_crc = struct.unpack_from("<I", blob, len(body))[0]
+    if stored_crc != zlib.crc32(body) & 0xFFFFFFFF:
         raise FormatError(f"{path}: checksum mismatch")
     offset = 10
-    entries = {}
-    order = []
+    entries = _Entries(path)
     for _ in range(count):
-        raw, offset = _read_exact(blob, offset, 2, path)
+        raw, offset = _read_exact(body, offset, 2, path)
         (nlen,) = struct.unpack("<H", raw)
-        raw, offset = _read_exact(blob, offset, nlen, path)
+        raw, offset = _read_exact(body, offset, nlen, path)
         name = raw.decode("utf-8")
-        raw, offset = _read_exact(blob, offset, 2, path)
+        raw, offset = _read_exact(body, offset, 2, path)
         tag, rank = struct.unpack("<BB", raw)
         if tag not in _DTYPE_TAGS:
             raise FormatError(f"{path}: unknown dtype tag {tag} for {name!r}")
-        raw, offset = _read_exact(blob, offset, 4 * rank, path)
+        raw, offset = _read_exact(body, offset, 4 * rank, path)
         shape = struct.unpack(f"<{rank}I", raw)
         dtype = _DTYPE_TAGS[tag]
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        raw, offset = _read_exact(blob, offset, nbytes, path)
+        raw, offset = _read_exact(body, offset, nbytes, path)
         entries[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        order.append(name)
-    return entries, order
+    if offset != len(body):
+        raise FormatError(
+            f"{path}: {len(body) - offset} stray bytes after the last entry "
+            f"(byte offset {offset})"
+        )
+    return entries
 
 
 def load_checkpoint(path):
     """Rebuild (ModelParams, TrainState-or-None) from a checkpoint file."""
-    entries, _order = read_checkpoint_entries(path)
+    entries = read_checkpoint_entries(path)
     config = _config_from_entries(entries)
     params = build_model(config)
     params.store.load_values(
-        {
-            name[len("param/") :]: arr
-            for name, arr in entries.items()
-            if name.startswith("param/")
-        }
+        {name: entries[f"param/{name}"] for name in params.store.names()}
     )
     for name, st in params.bn_states.items():
         st.running_mean = entries[f"bnstat/{name}/mean"].astype(np.float64)

@@ -8,7 +8,7 @@ import pytest
 
 from fmbff import cli, data
 from fmbff.errors import ConfigurationError
-from fmbff.model import ModelConfig, build_model
+from fmbff.model import ModelConfig, build_model, predict_probs
 
 train_mod = importlib.import_module("fmbff.train")
 
@@ -136,6 +136,33 @@ class TestTrain:
         assert cli.main(["train", "--data", str(tmp_path / "nope"),
                          "--out", str(tmp_path / "run")]) == 3
 
+    @pytest.mark.parametrize("line", [
+        "train.max_epochs = 0",
+        "train.max_epochs = -2",
+        "train.batch_size = 0",
+        "train.batch_size = -4",
+        "train.loss_weights = 1.0",
+        "train.loss_weights = 1.0, 1.0, 1.0",
+        "train.loss_weights = 1.0, -0.5",
+        "train.loss_weights = nan, 1.0",
+        "train.loss_weights = 1.0, inf",
+        "train.lr0 = 0",
+        "train.lr0 = -0.001",
+        "train.lr0 = nan",
+    ])
+    def test_invalid_train_value_exits_2(self, tmp_path, capsys, line):
+        ds = tmp_path / "ds"
+        cli.main(["synth", "--n", "5", "--size", "16x16", "--out", str(ds)])
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY_CONFIG + line + "\n")
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(ds), "--config", str(cfg),
+                         "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestEvalPredict:
     def test_predict_extents_match_input(self, tmp_path, capsys):
@@ -159,7 +186,7 @@ class TestEvalPredict:
         ckpt = tiny_checkpoint(tmp_path)
         samples = data.generate_synthetic(2, size=(16, 16), seed=2)
         params, _ = train_mod.load_checkpoint(ckpt)
-        probs = cli._predict_probs(params, [s.image for s in samples])
+        probs = predict_probs(params, [s.image for s in samples], batch_size=8)
         for s, prob in zip(samples, probs):
             s.mask = (prob >= 0.5).astype(np.float32)
         ds = tmp_path / "oracle"
@@ -184,6 +211,16 @@ class TestEvalPredict:
         csv_lines = (out / "report.csv").read_text().splitlines()
         assert csv_lines[0] == "id,acc,sn,sp,j,d,pr"
         assert "fold2" in (out / "report.txt").read_text()
+
+    def test_png_image_exits_3(self, tmp_path, capsys):
+        ckpt = tiny_checkpoint(tmp_path)
+        img_path = tmp_path / "probe.png"
+        img_path.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(32))
+        assert cli.main(["predict", "--image", str(img_path), "--ckpt", str(ckpt),
+                         "--out", str(tmp_path / "pred")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "bad magic" in err and "Traceback" not in err
 
     def test_corrupt_checkpoint_exits_3(self, tmp_path):
         ckpt = tiny_checkpoint(tmp_path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fmbff.engine import Tensor, backward, mul, sum_
+from fmbff.engine import Tensor, backward, bilinear_resize, mul, sum_
 from fmbff.errors import ConfigurationError, DimensionError
 from fmbff.model import (
     ModelConfig,
@@ -9,6 +9,7 @@ from fmbff.model import (
     encoder_forward,
     model_forward,
     param_count,
+    predict_probs,
 )
 
 
@@ -111,7 +112,6 @@ class TestModelForward:
             tiny_config(input_size=(32, 32), encoder_widths=(8, 8, 8, 8),
                         decoder_widths=(4, 4, 4, 4))
         )
-        params.store.zero_grads()
         rng = np.random.default_rng(99)
         for i in range(3):
             x = Tensor(np.random.default_rng(10 + i).random((2, 3, 32, 32)).astype(np.float32))
@@ -145,6 +145,26 @@ class TestModelForward:
         x = Tensor(np.random.default_rng(6).random((1, 3, 16, 16)).astype(np.float32))
         trace = model_forward(x, params, mode="train", rng=np.random.default_rng(0))
         assert trace.f_out.shape == (1, 1, 16, 16)
+
+
+class TestPredictProbs:
+    def test_mixed_extents_match_manual_path(self):
+        params = build_model(tiny_config())
+        x = Tensor(np.random.default_rng(0).random((2, 3, 16, 16)).astype(np.float32))
+        model_forward(x, params, mode="train", rng=np.random.default_rng(0))  # BN stats
+        rng = np.random.default_rng(8)
+        on_size = rng.random((3, 16, 16)).astype(np.float32)
+        off_size = rng.random((3, 24, 10)).astype(np.float32)
+
+        probs = predict_probs(params, [on_size, off_size], batch_size=2)
+
+        assert [p.shape for p in probs] == [(1, 16, 16), (1, 24, 10)]
+        shrunk = bilinear_resize(Tensor(off_size[None]), 16, 16).data[0]
+        out = model_forward(Tensor(np.stack([on_size, shrunk])), params, mode="eval").f_out
+        np.testing.assert_array_equal(probs[0], out.data[0])
+        np.testing.assert_array_equal(
+            probs[1], bilinear_resize(Tensor(out.data[1:]), 24, 10).data[0]
+        )
 
 
 class TestParamCount:

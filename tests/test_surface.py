@@ -1,0 +1,65 @@
+"""Guard against dead surface: every public function of the package is used
+somewhere in the package itself, not only by tests."""
+
+import ast
+from pathlib import Path
+
+import fmbff
+
+PACKAGE = Path(fmbff.__file__).parent
+# Entry points called from outside the package (the console script).
+EXEMPT = {"main"}
+
+
+def unused_public_functions(package_dir):
+    """Public module-level functions that no source in ``package_dir`` uses.
+
+    A name counts as used when it is loaded as a ``Name``, read as an
+    attribute of a package-module alias (``blocks.fmcab_forward``), or
+    re-exported by the package's ``__init__.py``.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(package_dir).glob("*.py")}
+    public = {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    used = set()
+    for module, tree in trees.items():
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module is None
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                used.add(node.attr)
+            elif (module == "__init__" and isinstance(node, ast.ImportFrom)
+                  and node.level > 0):
+                used.update(alias.name for alias in node.names)
+    return sorted(
+        f"{module}.{name}" for module, name in public
+        if name not in used and name not in EXEMPT
+    )
+
+
+def test_every_public_function_is_used_in_the_package():
+    assert unused_public_functions(PACKAGE) == []
+
+
+def test_scan_flags_a_function_nothing_calls(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .ops import exported\n")
+    (tmp_path / "ops.py").write_text(
+        "def exported():\n    pass\n\n"
+        "def called():\n    pass\n\n"
+        "def via_alias():\n    pass\n\n"
+        "def dead():\n    return called()\n\n"
+        "def main():\n    pass\n"
+    )
+    (tmp_path / "user.py").write_text("from . import ops as o\n\nVALUE = o.via_alias\n")
+    assert unused_public_functions(tmp_path) == ["ops.dead"]

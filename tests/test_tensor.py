@@ -7,7 +7,6 @@ from fmbff.engine import (
     BatchNormState,
     ParamStore,
     Tensor,
-    activation,
     add,
     backward,
     batch_norm,
@@ -19,7 +18,6 @@ from fmbff.engine import (
     dropout,
     dtype_session,
     dws_conv3x3,
-    elementwise,
     finite_diff_check,
     gelu,
     global_avg_pool,
@@ -28,9 +26,7 @@ from fmbff.engine import (
     matmul,
     max_pool2x2,
     mul,
-    normalize,
     permute,
-    pool,
     relu,
     reshape,
     sigmoid,
@@ -200,7 +196,7 @@ class TestPooling:
 
     def test_constant_avg(self):
         x = Tensor(np.full((2, 3, 4, 4), 5.0, dtype=np.float32))
-        np.testing.assert_array_equal(pool(x, "global_avg").data, np.full((2, 3, 1, 1), 5.0))
+        np.testing.assert_array_equal(global_avg_pool(x).data, np.full((2, 3, 1, 1), 5.0))
 
     def test_max2x2_odd_padding(self):
         x = Tensor(np.arange(9, dtype=np.float32).reshape(1, 1, 3, 3))
@@ -269,10 +265,9 @@ class TestNormalize:
         x = Tensor(np.zeros((1, 2, 2, 2), dtype=np.float32))
         state = BatchNormState(2)
         with pytest.raises(StateError):
-            normalize(
-                x, "batch",
-                Tensor(np.ones(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32)),
-                state=state, mode="eval",
+            batch_norm(
+                x, Tensor(np.ones(2, dtype=np.float32)), Tensor(np.zeros(2, dtype=np.float32)),
+                state, "eval",
             )
 
 
@@ -289,7 +284,7 @@ class TestActivations:
 
     def test_sigmoid_range(self):
         x = Tensor(np.asarray([-1000.0, -5.0, 5.0, 1000.0]))
-        out = activation(x, "sigmoid").data
+        out = sigmoid(x).data
         assert np.all(out > 0) and np.all(out < 1)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -334,7 +329,7 @@ class TestSoftmax:
 class TestElementwiseMatmul:
     def test_identities(self):
         a = Tensor(np.random.default_rng(6).random((1, 3, 2, 2)).astype(np.float32))
-        np.testing.assert_array_equal(elementwise(a, 0.0, "add").data, a.data)
+        np.testing.assert_array_equal(add(a, 0.0).data, a.data)
         ones = Tensor(np.ones((1, 3, 1, 1), dtype=np.float32))
         np.testing.assert_array_equal(mul(a, ones).data, a.data)
         np.testing.assert_array_equal(

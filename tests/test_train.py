@@ -1,15 +1,17 @@
+import importlib
 import math
+import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
-import importlib
-
 tr = importlib.import_module("fmbff.train")
 from fmbff.data import generate_synthetic
-from fmbff.engine import ParamStore, Tensor, dtype_session, finite_diff_check
+from fmbff.engine import ParamStore, Tensor, backward, dtype_session, finite_diff_check
 from fmbff.errors import FormatError, ParseError, UsageError
-from fmbff.model import ModelConfig, build_model
+from fmbff.model import ModelConfig, build_model, model_forward
 
 
 def tiny_config(**kw):
@@ -212,6 +214,32 @@ class TestTrainLoop:
                                  stop_at_metric=0.0)
         assert len(history) == 1
 
+    def test_run_peak_close_to_one_step(self):
+        # Each step's graph must be freed before the next forward builds one,
+        # so a two-step run peaks near a single isolated step.
+        config = ModelConfig(input_size=(32, 32))
+        samples = generate_synthetic(10, size=(32, 32), seed=7)
+        cfg = tr.TrainConfig(batch_size=4, max_epochs=1, seed=0)
+
+        params = build_model(config)
+        state = tr.TrainState(lr=cfg.lr0, rng=np.random.default_rng(0))
+        x = np.stack([s.image for s in samples[:4]])
+        y = np.stack([s.mask for s in samples[:4]])
+        tracemalloc.start()
+        try:
+            trace = model_forward(Tensor(x), params, mode="train", rng=state.rng)
+            batch_loss = tr.loss(trace.f_out, y)
+            backward(batch_loss)
+            tr.adam_step(params.store, state, state.lr)
+            del trace, batch_loss
+            step_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            tr.train(build_model(config), samples[:8], samples[8:], cfg)
+            run_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run_peak <= 1.2 * step_peak, (run_peak / 2**20, step_peak / 2**20)
+
     def test_empty_sets_rejected(self):
         params = build_model(tiny_config())
         with pytest.raises(UsageError):
@@ -247,6 +275,22 @@ class TestTrainLoop:
         lines = text.strip().split("\n")
         assert lines[0] == "epoch,loss,lr,val_dice"
         assert lines[1].startswith("1,")
+
+
+def _seal(body):
+    """A checkpoint blob from its bytes before the CRC, with a valid CRC."""
+    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
+
+
+def _write_entries(path, entries):
+    """Serialize named arrays in the checkpoint format, in dict order."""
+    buf = bytearray(b"FMBF" + struct.pack("<HI", 1, len(entries)))
+    for name, arr in entries.items():
+        nb = name.encode("utf-8")
+        buf += struct.pack("<H", len(nb)) + nb
+        buf += struct.pack("<BB", 0 if arr.dtype == np.float32 else 1, arr.ndim)
+        buf += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
+    path.write_bytes(_seal(buf))
 
 
 class TestCheckpoint:
@@ -314,6 +358,30 @@ class TestCheckpoint:
         bad.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version"):
             tr.read_checkpoint_entries(bad)
+
+    def test_entry_writer_matches_format(self, tmp_path):
+        _, _, path = self._trained(tmp_path)
+        again = tmp_path / "again.fmbf"
+        _write_entries(again, tr.read_checkpoint_entries(path))
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "missing", ["config/heads", "param/head.w", "bnstat/enc1.bn1/mean", "state/rng"]
+    )
+    def test_missing_required_entry(self, tmp_path, missing):
+        _, _, path = self._trained(tmp_path)
+        entries = tr.read_checkpoint_entries(path)
+        del entries[missing]
+        _write_entries(path, entries)
+        with pytest.raises(FormatError, match=f"missing checkpoint entry '{missing}'"):
+            tr.load_checkpoint(path)
+
+    def test_stray_bytes_before_crc(self, tmp_path):
+        _, _, path = self._trained(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(_seal(blob[:-4] + b"\x00\x01\x02"))
+        with pytest.raises(FormatError, match=rf"3 stray bytes .*byte offset {len(blob) - 4}\)"):
+            tr.read_checkpoint_entries(path)
 
     def test_truncated_reports_offset(self, tmp_path):
         path = tmp_path / "short.fmbf"
