@@ -268,12 +268,17 @@ def _read_netpbm(path, magic_expected):
         raise ParseError(
             f"{path}: bad magic {magic!r}, expected {magic_expected!r}", offset=0
         )
+    fields = []  # (value, byte offset) of width, height, maxval
     try:
-        width = int(token())
-        height = int(token())
-        maxval = int(token())
+        for _ in range(3):
+            field = token()
+            fields.append((int(field), pos - len(field)))
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric header field", offset=pos) from exc
+    (width, width_at), (height, height_at), (maxval, _) = fields
+    for name, value, offset in (("width", width, width_at), ("height", height, height_at)):
+        if value < 1:
+            raise ParseError(f"{path}: {name} {value} must be at least 1", offset=offset)
     if maxval != 255:
         raise ParseError(f"{path}: unsupported maxval {maxval}", offset=pos)
     pos += 1  # single whitespace byte after maxval

@@ -17,7 +17,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigurationError, DimensionError, StateError, UsageError
 
@@ -632,9 +631,70 @@ def sigmoid(x):
     return Tensor._from_op(data, (x,), back)
 
 
+# erf(x) / x as a series in x**2, highest power first: 2/sqrt(pi) * (-1)**n /
+# (n! (2n + 1)) for n = 0..18.  On |x| < 1 the first omitted term is below
+# 3e-19, under half an ulp of erf(x) / x.
+_ERF_TAYLOR = [
+    2.0 / math.sqrt(math.pi) * (-1) ** n / (math.factorial(n) * (2 * n + 1))
+    for n in range(18, -1, -1)
+]
+# erfc(x) = exp(-x**2) * P(x) / Q(x) on 1 <= x < 6, highest power first; the
+# coefficients are _erfc_coeff_P / _erfc_coeff_Q of mpmath (mpmath/math2.py).
+_ERFC_P = [
+    0.00044560259661560421715, 0.0063065951710717791934, 0.045459713768411264339,
+    0.20924776504163751585, 0.66275911699770787537, 1.4695509105618423961,
+    2.2280433377390253297, 2.1275306946297962644, 1.0000000161203922312,
+]
+_ERFC_Q = [
+    0.00078981003831980423513, 0.011178148899483545902, 0.080970149639040548613,
+    0.37647108453729465912, 1.2146026030046904138, 2.7845640601891186528,
+    4.4971472894498014205, 4.9019435608903239131, 3.2559100272784894318,
+    1.0,
+]
+
+
+def _horner(coeffs, z):
+    p = z * coeffs[0]
+    p += coeffs[1]
+    for c in coeffs[2:]:
+        p *= z
+        p += c
+    return p
+
+
+def _erf(x):
+    """Elementwise erf, evaluated in float64 and returned in ``x``'s dtype.
+
+    Within 2 ulp of the exact value in float64.  Float32 input is widened,
+    evaluated and rounded back, as SciPy's float32 erf loop does.  The sign
+    comes from ``copysign``, so -0.0 stays -0.0; NaN passes through and
+    |x| >= 6 gives +-1, which is erf to double precision.
+    """
+    a = np.abs(x, dtype=np.float64)
+    out = np.ones_like(a)
+    small = a < 1.0
+    mid = ~(small | (a >= 6.0))  # NaN lands here and propagates
+    t = a[small]
+    series = _horner(_ERF_TAYLOR, t * t)
+    series *= t
+    out[small] = series
+    t = a[mid]
+    tail = np.exp(-t * t)
+    tail *= _horner(_ERFC_P, t)
+    tail /= _horner(_ERFC_Q, t)
+    out[mid] = 1.0 - tail
+    return np.copysign(out, x).astype(x.dtype, copy=False)
+
+
 def gelu(x):
-    """Exact Gaussian-CDF GeLU: x * Phi(x)."""
-    phi_cdf = 0.5 * (1.0 + erf(x.data / _SQRT2))
+    """Exact Gaussian-CDF GeLU: x * Phi(x), Phi(x) = (1 + erf(x / sqrt 2)) / 2.
+
+    ``_erf`` computes erf in NumPy: a Taylor series below 1, mpmath's
+    rational erfc approximation from 1 to 6, and +-1 beyond.  Float32
+    results are bitwise those of the former SciPy erf path; float64 ones may
+    differ from it in the last bits.
+    """
+    phi_cdf = 0.5 * (1.0 + _erf(x.data / _SQRT2))
     data = (x.data * phi_cdf).astype(x.data.dtype)
 
     def back(g):

@@ -56,6 +56,11 @@ class ModelConfig:
                 raise ConfigurationError(f"{name}: need 4 positive widths, got {widths}")
         if self.in_channels < 1:
             raise ConfigurationError(f"in_channels: must be positive, got {self.in_channels}")
+        # checked before any of them divides a width below
+        for name in ("heads", "fmcab_reduction", "shuffle_groups"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigurationError(f"{name}: must be an integer >= 1, got {value!r}")
         c4 = self.encoder_widths[3]
         if c4 % self.heads != 0:
             raise ConfigurationError(f"heads: {self.heads} does not divide bottleneck width {c4}")

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -149,6 +150,10 @@ class TestTrain:
         "train.lr0 = 0",
         "train.lr0 = -0.001",
         "train.lr0 = nan",
+        "model.heads = 0",
+        "model.heads = -2",
+        "model.shuffle_groups = 0",
+        "model.fmcab_reduction = 0",
     ])
     def test_invalid_train_value_exits_2(self, tmp_path, capsys, line):
         ds = tmp_path / "ds"
@@ -221,6 +226,32 @@ class TestEvalPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "bad magic" in err and "Traceback" not in err
+
+    def test_zero_extent_image_exits_3(self, tmp_path, capsys):
+        ckpt = tiny_checkpoint(tmp_path)
+        img_path = tmp_path / "empty.ppm"
+        img_path.write_bytes(b"P6 0 0 255 ")
+        capsys.readouterr()
+        assert cli.main(["predict", "--image", str(img_path), "--ckpt", str(ckpt),
+                         "--out", str(tmp_path / "pred")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "width 0" in err and "Traceback" not in err
+
+    def test_checkpoint_with_zero_heads_exits_2(self, tmp_path, capsys):
+        params, _ = train_mod.load_checkpoint(tiny_checkpoint(tmp_path))
+        params.config = dataclasses.replace(params.config, heads=0)
+        ckpt = tmp_path / "heads0.fmbf"
+        train_mod.save_checkpoint(ckpt, params)
+        sample = data.generate_synthetic(1, size=(16, 16), seed=1)[0]
+        img_path = tmp_path / "probe.ppm"
+        data.write_image(img_path, sample.image)
+        capsys.readouterr()
+        assert cli.main(["predict", "--image", str(img_path), "--ckpt", str(ckpt),
+                         "--out", str(tmp_path / "pred")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "heads" in err and "Traceback" not in err
 
     def test_corrupt_checkpoint_exits_3(self, tmp_path):
         ckpt = tiny_checkpoint(tmp_path)

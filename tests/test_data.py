@@ -151,6 +151,19 @@ class TestNetpbmIO:
         with pytest.raises(ParseError, match="byte offset"):
             data.read_mask(path)
 
+    @pytest.mark.parametrize("header,field,offset", [
+        (b"P6 0 0 255 ", "width 0", 3),
+        (b"P6 4 0 255 ", "height 0", 5),
+        (b"P6 -2 -2 255 ", "width -2", 3),
+        (b"P6\n# c\n4\n-1\n255\n", "height -1", 9),
+    ])
+    def test_nonpositive_extent_rejected(self, tmp_path, header, field, offset):
+        path = tmp_path / "empty.ppm"
+        path.write_bytes(header + bytes(12))
+        with pytest.raises(ParseError, match=field) as exc:
+            data.read_image(path)
+        assert exc.value.offset == offset
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P5\n1 1\n255\n\x00")

@@ -1,8 +1,15 @@
 """Guard against dead surface: every public function of the package is used
-somewhere in the package itself, not only by tests."""
+somewhere in the package itself, not only by tests; the declared dependencies
+are exactly the third-party modules the package imports."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import fmbff
 
@@ -63,3 +70,32 @@ def test_scan_flags_a_function_nothing_calls(tmp_path):
     )
     (tmp_path / "user.py").write_text("from . import ops as o\n\nVALUE = o.via_alias\n")
     assert unused_public_functions(tmp_path) == ["ops.dead"]
+
+
+def third_party_imports(package_dir):
+    """Top-level names of the non-stdlib modules imported under ``package_dir``."""
+    names = set()
+    for path in Path(package_dir).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return sorted(names - set(sys.stdlib_module_names))
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PACKAGE.parent.parent / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = sorted(re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in declared)
+    assert third_party_imports(PACKAGE) == names
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = ("import sys, fmbff.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"

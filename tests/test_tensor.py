@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fmbff.engine import (
+    _erf,
     BatchNormState,
     ParamStore,
     Tensor,
@@ -281,6 +283,46 @@ class TestActivations:
 
     def test_gelu_zero(self):
         assert gelu(Tensor(np.zeros(1))).data[0] == 0.0
+
+    @staticmethod
+    def assert_erf_within_3ulp(x):
+        ref = np.array([math.erf(v) for v in x])
+        out = _erf(x)
+        assert out.dtype == np.float64
+        bad = np.abs(out - ref) > 3 * np.spacing(np.abs(ref))
+        assert not bad.any(), (x[bad][:5], out[bad][:5], ref[bad][:5])
+
+    def test_erf_float64_sample(self):
+        self.assert_erf_within_3ulp(np.random.default_rng(23).uniform(-8.0, 8.0, 200_000))
+
+    def test_erf_float64_branch_edges(self):
+        edges = np.array([1.0, 6.0])
+        x = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 10.0)])
+        self.assert_erf_within_3ulp(np.concatenate([x, -x]))
+
+    def test_erf_float64_tiny_to_one(self):
+        x = np.logspace(-300, 0, 3001)
+        self.assert_erf_within_3ulp(np.concatenate([x, -x]))
+
+    def test_erf_float32_matches_rounded_double(self):
+        x = np.random.default_rng(29).uniform(-7.0, 7.0, 10**6).astype(np.float32)
+        out = _erf(x)
+        assert out.dtype == np.float32
+        ref = np.array([math.erf(v) for v in x.tolist()], dtype=np.float32)
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_erf_special_values(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 40 * tiny], dtype=dtype)
+        out = _erf(x)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(np.signbit(out[:4]), [False, True, False, True])
+        np.testing.assert_array_equal(out[:4], [0.0, 0.0, 1.0, -1.0])
+        assert np.isnan(out[4])
+        ref = np.array([math.erf(v) for v in x[5:].tolist()], dtype=dtype)
+        assert out[5:].tobytes() == ref.tobytes()
+        assert out[5] > 0 and out[6] < 0
 
     def test_sigmoid_range(self):
         x = Tensor(np.asarray([-1000.0, -5.0, 5.0, 1000.0]))
