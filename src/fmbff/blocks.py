@@ -30,10 +30,10 @@ from .engine import (
     dropout,
     dws_conv3x3,
     gelu,
-    global_avg_pool,
     global_max_pool,
     layer_norm,
     matmul,
+    mean_,
     mul,
     permute,
     pow_,
@@ -44,6 +44,10 @@ from .engine import (
     sub,
 )
 from .errors import ConfigurationError, DimensionError
+
+
+def _gap(x):  # global average pool
+    return mean_(x, axis=(2, 3), keepdims=True)
 
 
 def _check_channels(x, expected, what):
@@ -84,8 +88,8 @@ class FmcabParams:
 
     @classmethod
     def build(cls, store: ParamStore, prefix, channels, reduction=4, p_exponent=1.0):
-        if p_exponent <= 0:
-            raise ConfigurationError(f"p_exponent must be > 0, got {p_exponent}")
+        if not (math.isfinite(p_exponent) and p_exponent > 0):
+            raise ConfigurationError(f"p_exponent must be a finite value > 0, got {p_exponent}")
         c = channels
         r = max(c // reduction, 1)
         p = prefix
@@ -120,7 +124,7 @@ class FmcabParams:
 
 def focal_modulation(i2, params):
     """Gate i2 by the alpha-scaled gap/gmp descriptor difference, times gamma^p."""
-    desc = mul(sub(global_avg_pool(i2), global_max_pool(i2)), params.alpha)
+    desc = mul(sub(_gap(i2), global_max_pool(i2)), params.alpha)
     gate = sigmoid(conv2d(relu(desc), params.fm_gate_w, params.fm_gate_b))
     return mul(pow_(params.gamma, params.p_exponent), mul(gate, i2))
 
@@ -140,7 +144,7 @@ def fmcab_forward(f_in, params):
         )
     )
     squeezed = relu(conv2d(i1, params.se_reduce_w, params.se_reduce_b))
-    descriptor = relu(global_avg_pool(squeezed))
+    descriptor = relu(_gap(squeezed))
     se_gate = sigmoid(conv2d(descriptor, params.se_expand_w, params.se_expand_b))
     i2 = mul(se_gate, i1)
 
@@ -232,8 +236,8 @@ def biffm_forward(d, s, params, return_gates=False):
     pd = conv2d(d, params.proj_a_w, params.proj_a_b)
     ps = conv2d(bilinear_resize(s, h, w), params.proj_b_w, params.proj_b_b)
 
-    x1 = global_avg_pool(pd)
-    x2 = global_avg_pool(ps)
+    x1 = _gap(pd)
+    x2 = _gap(ps)
     x = concat(
         [
             relu(conv2d(x1, params.gap1x1_a_w, params.gap1x1_a_b)),

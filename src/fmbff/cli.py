@@ -9,6 +9,7 @@ snapshot, and a content hash of any checkpoint involved.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -65,29 +66,20 @@ def _parse_bool(value, key):
     raise ConfigurationError(f"{key}: expected a boolean, got {value!r}")
 
 
-_MODEL_KEYS = {
-    "in_channels": int,
-    "input_size": _parse_int_tuple,
-    "encoder_widths": _parse_int_tuple,
-    "decoder_widths": _parse_int_tuple,
-    "heads": int,
-    "fmcab_reduction": int,
-    "p_exponent": float,
-    "shuffle_groups": int,
-    "skip_mode": str,
-    "seed": int,
-}
+def _parser_for(default):
+    """The value parser of a config field, chosen by the type of its default."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _parse_float_tuple if isinstance(default[0], float) else _parse_int_tuple
+    kind = type(default)
+    return lambda value, key: kind(value)
 
-_TRAIN_KEYS = {
-    "lr0": float,
-    "max_epochs": int,
-    "plateau_patience": int,
-    "plateau_factor": float,
-    "early_stop_patience": int,
-    "batch_size": int,
-    "loss_weights": _parse_float_tuple,
-    "augment": _parse_bool,
-    "seed": int,
+
+# The config dataclasses are the schema: one `section.field` key per field.
+_KEY_TABLES = {
+    section: {f.name: _parser_for(f.default) for f in dataclasses.fields(cls)}
+    for section, cls in (("model", ModelConfig), ("train", TrainConfig))
 }
 
 
@@ -105,14 +97,11 @@ def parse_config_text(text):
         if "." not in key:
             raise ConfigurationError(f"line {lineno}: key {key!r} must be dotted")
         section, field = key.split(".", 1)
-        table = {"model": _MODEL_KEYS, "train": _TRAIN_KEYS}.get(section)
-        if table is None or field not in table:
+        table = _KEY_TABLES.get(section, {})
+        if field not in table:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        parser = table[field]
         try:
-            parsed = parser(value, key) if parser in (
-                _parse_int_tuple, _parse_float_tuple, _parse_bool
-            ) else parser(value)
+            parsed = table[field](value, key)
         except ConfigurationError:
             raise
         except ValueError:
@@ -257,7 +246,7 @@ def cmd_predict(args):
     stem = os.path.splitext(os.path.basename(args.image))[0]
     mask_path = os.path.join(args.out, f"{stem}_mask.pgm")
     prob_path = os.path.join(args.out, f"{stem}_prob.npy")
-    data.write_mask(mask_path, (prob >= 0.5).astype(np.float32))
+    data.write_mask(mask_path, (prob >= metrics.THRESHOLD).astype(np.float32))
     np.save(prob_path, prob.astype(np.float32))
     write_manifest(
         args.out, "predict", params.config.seed,

@@ -98,6 +98,8 @@ def generate_synthetic(n, size=(64, 64), seed=0):
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
+    if len(size) != 2 or not all(isinstance(v, int) and v >= 1 for v in size):
+        raise ConfigurationError(f"size must be two integers >= 1 (HxW), got {size}")
     h, w = size
     samples = []
     for i in range(n):
@@ -108,8 +110,11 @@ def generate_synthetic(n, size=(64, 64), seed=0):
             if 0.02 <= frac <= 0.6:
                 samples.append(sample)
                 break
-        else:  # pragma: no cover - generator parameters keep this unreachable
-            raise RuntimeError(f"could not synthesize sample {i} in 64 attempts")
+        else:
+            raise ConfigurationError(
+                f"could not synthesize sample {i} at size {h}x{w}: no foreground "
+                "fraction in [0.02, 0.6] in 64 attempts"
+            )
     return samples
 
 
@@ -117,8 +122,8 @@ def generate_synthetic(n, size=(64, 64), seed=0):
 # augmentation
 
 
-def _rotate_bilinear(img, angle_deg, fill=0.0):
-    c, h, w = img.shape
+def _source_coords(h, w, angle_deg):
+    """Source-frame (y, x) of every pixel of an h x w frame rotated about its centre."""
     theta = math.radians(angle_deg)
     ca, sa = math.cos(theta), math.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -126,6 +131,12 @@ def _rotate_bilinear(img, angle_deg, fill=0.0):
     # inverse map: rotate output coordinates back into the source frame
     sx = (xx - cx) * ca + (yy - cy) * sa + cx
     sy = -(xx - cx) * sa + (yy - cy) * ca + cy
+    return sy, sx
+
+
+def _rotate_bilinear(img, angle_deg):
+    c, h, w = img.shape
+    sy, sx = _source_coords(h, w, angle_deg)
     x0 = np.floor(sx).astype(int)
     y0 = np.floor(sy).astype(int)
     fx = sx - x0
@@ -141,24 +152,18 @@ def _rotate_bilinear(img, angle_deg, fill=0.0):
         valid = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
         ysc = np.clip(ys, 0, h - 1)
         xsc = np.clip(xs, 0, w - 1)
-        # out-of-frame taps contribute the fill value
-        wv = np.where(valid, wgt, 0.0)
-        acc += img[:, ysc, xsc] * wv[None] + fill * (wgt - wv)[None]
+        # out-of-frame taps contribute zero
+        acc += img[:, ysc, xsc] * np.where(valid, wgt, 0.0)[None]
     return acc.astype(img.dtype)
 
 
-def _rotate_nearest(img, angle_deg, fill=0.0):
+def _rotate_nearest(img, angle_deg):
     c, h, w = img.shape
-    theta = math.radians(angle_deg)
-    ca, sa = math.cos(theta), math.sin(theta)
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    sx = (xx - cx) * ca + (yy - cy) * sa + cx
-    sy = -(xx - cx) * sa + (yy - cy) * ca + cy
+    sy, sx = _source_coords(h, w, angle_deg)
     xs = np.rint(sx).astype(int)
     ys = np.rint(sy).astype(int)
     valid = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-    out = np.full((c, h, w), fill, dtype=img.dtype)
+    out = np.zeros((c, h, w), dtype=img.dtype)
     out[:, valid] = img[:, ys[valid], xs[valid]]
     return out
 
@@ -223,6 +228,8 @@ def kfold(ids, k=5, seed=0) -> SplitPlan:
     ids = list(ids)
     if not ids:
         raise ConfigurationError("kfold over an empty id list")
+    if k < 1:
+        raise ConfigurationError(f"k must be >= 1, got {k}")
     if k > len(ids):
         raise ConfigurationError(f"k={k} exceeds dataset size {len(ids)}")
     rng = np.random.default_rng(seed)

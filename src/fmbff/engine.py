@@ -208,16 +208,10 @@ def clip(x, lo, hi):
     return Tensor._from_op(data, (x,), lambda g: _accumulate(x, g * inside))
 
 
-def sum_(x, axis=None, keepdims=False):
-    data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def back(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.shape))
-
-    return Tensor._from_op(np.asarray(data), (x,), back)
+def sum_(x):
+    """Sum of every element, as a 0-d tensor."""
+    data = np.asarray(x.data.sum())
+    return Tensor._from_op(data, (x,), lambda g: _accumulate(x, np.broadcast_to(g, x.shape)))
 
 
 def mean_(x, axis=None, keepdims=False):
@@ -232,7 +226,7 @@ def mean_(x, axis=None, keepdims=False):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.shape) / n)
+        _accumulate(x, np.broadcast_to(g / n, x.shape))
 
     return Tensor._from_op(np.asarray(data), (x,), back)
 
@@ -264,10 +258,11 @@ def _pair(v):
 
 
 def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
-    """2-D convolution (cross-correlation) with zero padding and groups.
+    """2-D convolution (cross-correlation) with zero padding.
 
-    Each kernel class has one lowering, none of which builds a full im2col
-    buffer:
+    ``groups`` is 1 (dense) or ``Cin == Cout`` (depthwise); other grouped
+    convs raise ``ConfigurationError``.  Each kernel class has one lowering,
+    none of which builds a full im2col buffer:
 
     * 1x1 (stride 1, no padding, one group): a single batched GEMM of the
       ``(Cout, Cin)`` weight against the ``(N, Cin, H*W)`` view of ``x``.
@@ -275,8 +270,8 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
       one banded GEMM per kernel row, where each input row is multiplied by a
       ``(W, Wo)`` band that holds the row's taps at their column offsets and
       absorbs the column padding and stride.
-    * everything else (dense k x k and other grouped convs): a tap-wise
-      accumulation of channel GEMMs over a zero-padded copy of ``x``.
+    * dense k x k: a tap-wise accumulation of channel GEMMs over a
+      zero-padded copy of ``x``.
     """
     if x.ndim != 4:
         raise DimensionError(f"conv2d input must be 4-D, got shape {x.shape}")
@@ -286,9 +281,10 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     ph, pw = _pair(pad)
     n, cin, h, wd = x.shape
     cout, cg, kh, kw = w.shape
-    if cin % groups != 0 or cout % groups != 0:
+    if groups != 1 and not groups == cin == cout:
         raise ConfigurationError(
-            f"groups={groups} must divide in-channels {cin} and out-channels {cout}"
+            f"groups={groups} must be 1 or, for a depthwise conv, equal in-channels {cin} "
+            f"and out-channels {cout}"
         )
     if cg != cin // groups:
         raise DimensionError(
@@ -309,7 +305,7 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     elif groups == cin == cout:
         out, grads = _conv_depthwise(x.data, w.data, sh, sw, ph, pw, ho, wo)
     else:
-        out, grads = _conv_taps(x.data, w.data, sh, sw, ph, pw, ho, wo, groups)
+        out, grads = _conv_dense(x.data, w.data, sh, sw, ph, pw, ho, wo)
     if b is not None:
         out += b.data[None, :, None, None]
 
@@ -394,39 +390,24 @@ def _conv_depthwise(x, w, sh, sw, ph, pw, ho, wo):
     return out, grads
 
 
-def _conv_taps(x, w, sh, sw, ph, pw, ho, wo, groups):
-    """Dense or grouped conv as a tap-wise accumulation of channel GEMMs."""
+def _conv_dense(x, w, sh, sw, ph, pw, ho, wo):
+    """Dense conv as a tap-wise accumulation of channel GEMMs."""
     n, _, h, wd = x.shape
-    cout, cg, kh, kw = w.shape
-    dg = cout // groups
+    kh, kw = w.shape[2:]
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((n, cout, ho, wo), dtype=x.dtype)
-    for gidx in range(groups):
-        xs_g = xp[:, gidx * cg : (gidx + 1) * cg]
-        wg = w[gidx * dg : (gidx + 1) * dg]
-        acc = np.zeros((n, ho, wo, dg), dtype=x.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                xs = xs_g[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw]
-                acc += np.tensordot(xs, wg[:, :, i, j], axes=([1], [1]))
-        out[:, gidx * dg : (gidx + 1) * dg] = acc.transpose(0, 3, 1, 2)
+    windows = [(i, j, np.s_[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw])
+               for i in range(kh) for j in range(kw)]
+    acc = np.zeros((n, ho, wo, w.shape[0]), dtype=x.dtype)
+    for i, j, win in windows:
+        acc += np.tensordot(xp[win], w[:, :, i, j], axes=([1], [1]))
+    out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
 
     def grads(g):
         dxp = np.zeros_like(xp)
         dw = np.zeros_like(w)
-        for gidx in range(groups):
-            sl_in = slice(gidx * cg, (gidx + 1) * cg)
-            sl_out = slice(gidx * dg, (gidx + 1) * dg)
-            gg = g[:, sl_out]
-            wg = w[sl_out]
-            for i in range(kh):
-                for j in range(kw):
-                    xs = xp[:, sl_in, i : i + sh * ho : sh, j : j + sw * wo : sw]
-                    dw[sl_out, :, i, j] = np.tensordot(gg, xs, axes=([0, 2, 3], [0, 2, 3]))
-                    contrib = np.tensordot(gg, wg[:, :, i, j], axes=([1], [0]))
-                    dxp[:, sl_in, i : i + sh * ho : sh, j : j + sw * wo : sw] += (
-                        contrib.transpose(0, 3, 1, 2)
-                    )
+        for i, j, win in windows:
+            dw[:, :, i, j] = np.tensordot(g, xp[win], axes=([0, 2, 3], [0, 2, 3]))
+            dxp[win] += np.tensordot(g, w[:, :, i, j], axes=([1], [0])).transpose(0, 3, 1, 2)
         return dxp[:, :, ph : ph + h, pw : pw + wd], dw
 
     return out, grads
@@ -467,18 +448,6 @@ def max_pool2x2(x):
         _accumulate(x, gp[:, :, :h, :w])
 
     return Tensor._from_op(np.ascontiguousarray(out), (x,), back)
-
-
-def global_avg_pool(x):
-    n, c, h, w = x.shape
-    if h == 0 or w == 0:
-        raise DimensionError("global_avg_pool on empty spatial extent")
-    out = x.data.mean(axis=(2, 3), keepdims=True)
-
-    def back(g):
-        _accumulate(x, np.broadcast_to(g / (h * w), x.shape))
-
-    return Tensor._from_op(out, (x,), back)
 
 
 def global_max_pool(x):
@@ -571,25 +540,25 @@ def _affine(y, scale, shift):
     return add(mul(y, s), b)
 
 
-def layer_norm(x, scale, shift, eps=1e-5):
-    """Normalize over C,H,W per sample, then apply the channel affine."""
-    axes = (1, 2, 3)
+def _standardize(x, axes, eps):
+    """Centre ``x`` over ``axes`` and divide by sqrt(var + eps); returns (y, mu, var)."""
     mu = mean_(x, axis=axes, keepdims=True)
     xc = sub(x, mu)
     var = mean_(mul(xc, xc), axis=axes, keepdims=True)
-    y = mul(xc, pow_(add(var, float(eps)), -0.5))
+    return mul(xc, pow_(add(var, float(eps)), -0.5)), mu, var
+
+
+def layer_norm(x, scale, shift, eps=1e-5):
+    """Normalize over C,H,W per sample, then apply the channel affine."""
+    y, _, _ = _standardize(x, (1, 2, 3), eps)
     return _affine(y, scale, shift)
 
 
 def batch_norm(x, scale, shift, state, mode, eps=1e-5):
     """Normalize over N,H,W per channel; eval mode uses running statistics."""
     if mode == "train":
-        axes = (0, 2, 3)
-        mu = mean_(x, axis=axes, keepdims=True)
-        xc = sub(x, mu)
-        var = mean_(mul(xc, xc), axis=axes, keepdims=True)
+        y, mu, var = _standardize(x, (0, 2, 3), eps)
         state.update(mu.data.reshape(-1), var.data.reshape(-1))
-        y = mul(xc, pow_(add(var, float(eps)), -0.5))
     elif mode == "eval":
         if not state.populated:
             raise StateError("eval-mode batch norm before any training batch")
@@ -614,12 +583,9 @@ def relu(x):
 
 
 def sigmoid(x):
-    # expit-style stable evaluation
-    data = np.where(
-        x.data >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(x.data))),
-        np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-    ).astype(x.data.dtype)
+    # expit-style stable evaluation: exp(-|x|) never overflows
+    e = np.exp(-np.abs(x.data))
+    data = (np.where(x.data >= 0, 1.0, e) / (1.0 + e)).astype(x.data.dtype)
     # keep outputs strictly inside (0, 1) even when the exp saturates
     tiny = np.finfo(data.dtype).tiny
     eps1 = np.float64(1.0) - np.finfo(data.dtype).epsneg

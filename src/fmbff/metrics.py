@@ -11,13 +11,15 @@ zero has no error pixels of the kinds it penalizes, so it reports 1.0.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, UsageError
 
 METRIC_NAMES = ("acc", "sn", "sp", "j", "d")
+# A probability (or ground-truth value) at or above this is foreground.
+THRESHOLD = 0.5
 
 
 @dataclass
@@ -37,11 +39,10 @@ class MetricsReport:
     per_image: dict  # id -> dict of metric -> value
     aggregate: dict  # metric -> (mean, std)
     folds: list | None = None  # list of (fold ids, aggregate dict)
-    include_precision: bool = False
-    columns: tuple = field(default=METRIC_NAMES)
+    columns: tuple = METRIC_NAMES
 
 
-def confusion(pred, gt, threshold=0.5):
+def confusion(pred, gt):
     """Per-image confusion counts for N x 1 x H x W probability maps."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
@@ -49,8 +50,8 @@ def confusion(pred, gt, threshold=0.5):
         raise DimensionError(f"pred {pred.shape} and gt {gt.shape} differ")
     if pred.ndim == 3:
         pred, gt = pred[None], gt[None]
-    binary = pred >= threshold
-    truth = gt >= 0.5
+    binary = pred >= THRESHOLD
+    truth = gt >= THRESHOLD
     out = []
     for p, g in zip(binary, truth):
         tp = int(np.count_nonzero(p & g))
@@ -104,16 +105,15 @@ def aggregate(per_image, folds=None, include_precision=False) -> MetricsReport:
         per_image=dict(per_image),
         aggregate=agg,
         folds=fold_aggs,
-        include_precision=include_precision,
         columns=columns,
     )
 
 
-def evaluate(pred_by_id, gt_by_id, threshold=0.5, folds=None, include_precision=False):
+def evaluate(pred_by_id, gt_by_id, folds=None, include_precision=False):
     """Confusion + metrics for matching id -> map dicts, then aggregate."""
     per_image = {}
     for sid, pred in pred_by_id.items():
-        c = confusion(pred[None], gt_by_id[sid][None], threshold)[0]
+        c = confusion(pred[None], gt_by_id[sid][None])[0]
         per_image[sid] = metrics_from(c, include_precision)
     return aggregate(per_image, folds=folds, include_precision=include_precision)
 

@@ -9,6 +9,7 @@ previous skip, so skip widths are cumulative over the encoder widths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,10 +46,12 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self):
-        h, w = self.input_size
-        if h % 16 != 0 or w % 16 != 0:
+        size = self.input_size
+        if len(size) != 2 or not all(isinstance(v, int) and v >= 16 and v % 16 == 0
+                                     for v in size):
             raise ConfigurationError(
-                f"input_size: {h}x{w} must be divisible by 16 (four stride-2 stages)"
+                f"input_size: {size} must be two positive multiples of 16 "
+                "(four stride-2 stages)"
             )
         for name in ("encoder_widths", "decoder_widths"):
             widths = getattr(self, name)
@@ -73,8 +76,8 @@ class ModelConfig:
                 )
         if self.skip_mode not in ("literal_s4", "stage_matched"):
             raise ConfigurationError(f"skip_mode: unknown value {self.skip_mode!r}")
-        if self.p_exponent <= 0:
-            raise ConfigurationError(f"p_exponent: must be > 0, got {self.p_exponent}")
+        if not (math.isfinite(self.p_exponent) and self.p_exponent > 0):
+            raise ConfigurationError(f"p_exponent: must be finite and > 0, got {self.p_exponent}")
 
     @property
     def bottleneck_size(self):

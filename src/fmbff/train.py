@@ -151,10 +151,10 @@ def early_stop(state: TrainState, cfg: TrainConfig):
 # training loop
 
 
-def validation_dice(params, samples, batch_size=8, threshold=0.5):
+def validation_dice(params, samples, batch_size=8):
     masks = np.stack([s.mask for s in samples])
     probs = np.stack(predict_probs(params, [s.image for s in samples], batch_size))
-    confusions = metrics_mod.confusion(probs, masks, threshold)
+    confusions = metrics_mod.confusion(probs, masks)
     return float(np.mean([metrics_mod.metrics_from(c)["d"] for c in confusions]))
 
 
@@ -193,7 +193,7 @@ def train(params: ModelParams, train_set, val_set, cfg: TrainConfig,
     masks = [np.asarray(s.mask, dtype=np.float32) for s in train_set]
 
     history = []
-    best_snapshot = None
+    best_entries = None
     for epoch in range(1, cfg.max_epochs + 1):
         order = state.rng.permutation(len(images))
         epoch_losses = []
@@ -206,7 +206,7 @@ def train(params: ModelParams, train_set, val_set, cfg: TrainConfig,
         val_metric = validation_dice(params, val_set, cfg.batch_size)
         lr_used = state.lr
         if val_metric > state.best_val_metric:
-            best_snapshot = _snapshot(params)
+            best_entries = {name: arr.copy() for name, arr in _model_entries(params)}
         plateau_step(state, cfg, val_metric)
         state.epoch = epoch
         row = {
@@ -223,29 +223,9 @@ def train(params: ModelParams, train_set, val_set, cfg: TrainConfig,
         if early_stop(state, cfg):
             break
 
-    if best_snapshot is not None:
-        _restore(params, best_snapshot)
+    if best_entries is not None:
+        _load_model_entries(params, best_entries)
     return params, state, history
-
-
-def _snapshot(params: ModelParams):
-    return (
-        params.store.copy_values(),
-        {
-            name: (st.running_mean.copy(), st.running_var.copy(), st.count)
-            for name, st in params.bn_states.items()
-        },
-    )
-
-
-def _restore(params: ModelParams, snapshot):
-    values, bn = snapshot
-    params.store.load_values(values)
-    for name, (mean, var, count) in bn.items():
-        st = params.bn_states[name]
-        st.running_mean = mean.copy()
-        st.running_var = var.copy()
-        st.count = count
 
 
 def history_csv(history):
@@ -331,14 +311,29 @@ def _config_from_entries(values):
     )
 
 
-def save_checkpoint(path, params: ModelParams, state: TrainState | None = None):
-    entries = list(_config_entries(params.config))
-    for name, t in params.store.items():
-        entries.append((f"param/{name}", t.data))
+def _model_entries(params: ModelParams):
+    """The parameters and batch-norm statistics as (name, array) entries."""
+    entries = [(f"param/{name}", t.data) for name, t in params.store.items()]
     for name, st in params.bn_states.items():
         entries.append((f"bnstat/{name}/mean", st.running_mean))
         entries.append((f"bnstat/{name}/var", st.running_var))
         entries.append((f"bnstat/{name}/count", _scalar(st.count)))
+    return entries
+
+
+def _load_model_entries(params: ModelParams, entries):
+    """Set parameters and batch-norm statistics from entries by name (copies)."""
+    params.store.load_values(
+        {name: entries[f"param/{name}"] for name in params.store.names()}
+    )
+    for name, st in params.bn_states.items():
+        st.running_mean = entries[f"bnstat/{name}/mean"].astype(np.float64)
+        st.running_var = entries[f"bnstat/{name}/var"].astype(np.float64)
+        st.count = int(entries[f"bnstat/{name}/count"])
+
+
+def save_checkpoint(path, params: ModelParams, state: TrainState | None = None):
+    entries = _config_entries(params.config) + _model_entries(params)
     if state is not None:
         entries.append(("state/lr", _scalar(state.lr)))
         entries.append(("state/epoch", _scalar(state.epoch)))
@@ -437,13 +432,7 @@ def load_checkpoint(path):
     entries = read_checkpoint_entries(path)
     config = _config_from_entries(entries)
     params = build_model(config)
-    params.store.load_values(
-        {name: entries[f"param/{name}"] for name in params.store.names()}
-    )
-    for name, st in params.bn_states.items():
-        st.running_mean = entries[f"bnstat/{name}/mean"].astype(np.float64)
-        st.running_var = entries[f"bnstat/{name}/var"].astype(np.float64)
-        st.count = int(entries[f"bnstat/{name}/count"])
+    _load_model_entries(params, entries)
 
     state = None
     if "state/lr" in entries:

@@ -23,6 +23,11 @@ class TestFmcab:
         out = blocks.fmcab_forward(x, params)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_p_exponent(self, p):
+        with pytest.raises(ConfigurationError, match="p_exponent"):
+            build_fmcab(4, p_exponent=p)
+
     def test_channel_mismatch(self):
         store, params = build_fmcab(4)
         with pytest.raises(DimensionError):

@@ -10,6 +10,7 @@ import pytest
 from fmbff import cli, data
 from fmbff.errors import ConfigurationError
 from fmbff.model import ModelConfig, build_model, predict_probs
+from fmbff.train import TrainConfig
 
 train_mod = importlib.import_module("fmbff.train")
 
@@ -77,6 +78,16 @@ class TestConfigParsing:
         model_config, _ = cli.parse_config_text("\n# note\nmodel.heads = 2  # inline\n")
         assert model_config.heads == 2
 
+    @pytest.mark.parametrize("section,cls", [("model", ModelConfig), ("train", TrainConfig)])
+    def test_every_field_default_parses_back(self, section, cls):
+        for f in dataclasses.fields(cls):
+            default = f.default
+            text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+            configs = dict(zip(("model", "train"),
+                               cli.parse_config_text(f"{section}.{f.name} = {text}\n")))
+            parsed = getattr(configs[section], f.name)
+            assert parsed == default and type(parsed) is type(default), (f.name, text)
+
     def test_empty_text_gives_defaults(self):
         model_config, train_config = cli.parse_config_text("")
         assert model_config == ModelConfig()
@@ -105,8 +116,16 @@ class TestSynth:
         assert manifest["seed"] == 42
         assert manifest["command"] == "synth"
 
-    def test_bad_size_exits_2(self, tmp_path):
-        assert cli.main(["synth", "--n", "1", "--size", "abc", "--out", str(tmp_path)]) == 2
+    def test_bad_size_exits_2(self, tmp_path, capsys):
+        # 1x1 is well formed, but no sample that small has a usable foreground
+        for size in ("abc", "8", "8x8x8", "0x0", "1x1"):
+            capsys.readouterr()
+            out = str(tmp_path / size)
+            assert cli.main(["synth", "--n", "1", "--size", size, "--out", out]) == 2, size
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+        assert "size 1x1" in err
 
 
 class TestTrain:
@@ -154,6 +173,12 @@ class TestTrain:
         "model.heads = -2",
         "model.shuffle_groups = 0",
         "model.fmcab_reduction = 0",
+        "model.input_size = 64",
+        "model.input_size = 32x32x32",
+        "model.input_size = 0x0",
+        "model.input_size = -16x-16",
+        "model.p_exponent = nan",
+        "model.p_exponent = inf",
     ])
     def test_invalid_train_value_exits_2(self, tmp_path, capsys, line):
         ds = tmp_path / "ds"
@@ -216,6 +241,17 @@ class TestEvalPredict:
         csv_lines = (out / "report.csv").read_text().splitlines()
         assert csv_lines[0] == "id,acc,sn,sp,j,d,pr"
         assert "fold2" in (out / "report.txt").read_text()
+
+    def test_negative_folds_exits_2(self, tmp_path, capsys):
+        ckpt = tiny_checkpoint(tmp_path)
+        ds = tmp_path / "ds"
+        data.write_dataset(ds, data.generate_synthetic(2, size=(16, 16), seed=3))
+        capsys.readouterr()
+        assert cli.main(["eval", "--data", str(ds), "--ckpt", str(ckpt),
+                         "--folds", "-1", "--out", str(tmp_path / "report")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "k must be >= 1" in err and "Traceback" not in err
 
     def test_png_image_exits_3(self, tmp_path, capsys):
         ckpt = tiny_checkpoint(tmp_path)

@@ -107,6 +107,11 @@ class TestSplits:
         b = data.split(ids, seed=3)
         assert a.train_ids == b.train_ids and a.val_ids == b.val_ids
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        with pytest.raises(ConfigurationError, match="k must be >= 1"):
+            data.kfold(["a", "b"], k=k)
+
     def test_k_too_large(self):
         with pytest.raises(ConfigurationError):
             data.kfold(["a", "b"], k=5)

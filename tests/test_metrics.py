@@ -38,9 +38,9 @@ class TestConfusion:
         assert (c.tp, c.tn, c.fp, c.fn) == (1, 1, 1, 1)
 
     def test_threshold_inclusive(self):
-        pred = np.array([[[0.5]]])
+        pred = np.array([[[mx.THRESHOLD]]])
         gt = np.array([[[1.0]]])
-        c = mx.confusion(pred[None], gt[None], threshold=0.5)[0]
+        c = mx.confusion(pred[None], gt[None])[0]
         assert c.tp == 1
 
     def test_batched(self):

@@ -22,11 +22,11 @@ from fmbff.engine import (
     dws_conv3x3,
     finite_diff_check,
     gelu,
-    global_avg_pool,
     global_max_pool,
     layer_norm,
     matmul,
     max_pool2x2,
+    mean_,
     mul,
     permute,
     relu,
@@ -42,6 +42,11 @@ from fmbff.errors import (
     StateError,
     UsageError,
 )
+
+
+def gap(x):
+    """Global average pool, the form the blocks use."""
+    return mean_(x, axis=(2, 3), keepdims=True)
 
 
 def t4(data):
@@ -94,6 +99,13 @@ class TestConv2d:
             conv2d(x, w, groups=2)
         with pytest.raises(DimensionError):
             conv2d(x, Tensor(np.zeros((2, 2, 1, 1), dtype=np.float32)))
+        # grouped but not depthwise: 2 groups over 4 channels
+        with pytest.raises(ConfigurationError):
+            conv2d(
+                Tensor(np.zeros((1, 4, 4, 4), dtype=np.float32)),
+                Tensor(np.zeros((4, 2, 3, 3), dtype=np.float32)),
+                groups=2,
+            )
 
 
 def _naive_conv(x, w, b, stride, pad, groups):
@@ -191,14 +203,14 @@ class TestDwsConv:
 
 class TestPooling:
     def test_global_avg(self):
-        assert global_avg_pool(t4([[1, 2], [3, 4]])).data.reshape(()) == 2.5
+        assert gap(t4([[1, 2], [3, 4]])).data.reshape(()) == 2.5
 
     def test_global_max(self):
         assert global_max_pool(t4([[1, 2], [3, 4]])).data.reshape(()) == 4
 
     def test_constant_avg(self):
         x = Tensor(np.full((2, 3, 4, 4), 5.0, dtype=np.float32))
-        np.testing.assert_array_equal(global_avg_pool(x).data, np.full((2, 3, 1, 1), 5.0))
+        np.testing.assert_array_equal(gap(x).data, np.full((2, 3, 1, 1), 5.0))
 
     def test_max2x2_odd_padding(self):
         x = Tensor(np.arange(9, dtype=np.float32).reshape(1, 1, 3, 3))
@@ -323,6 +335,23 @@ class TestActivations:
         ref = np.array([math.erf(v) for v in x[5:].tolist()], dtype=dtype)
         assert out[5:].tobytes() == ref.tobytes()
         assert out[5] > 0 and out[6] < 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_three_exp_form(self, dtype):
+        # one exp(-|x|) gives the bits of evaluating it once per branch term
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 745.0, -745.0]
+        rng = np.random.default_rng(31)
+        x = np.concatenate([rng.standard_normal(10**6) * 30, special]).astype(dtype)
+        a = np.abs(x)
+        ref = np.where(
+            x >= 0, 1.0 / (1.0 + np.exp(-a)), np.exp(-a) / (1.0 + np.exp(-a))
+        ).astype(dtype)
+        upper = (np.float64(1.0) - np.finfo(dtype).epsneg).astype(dtype)
+        ref = np.clip(ref, np.finfo(dtype).tiny, upper)
+        out = sigmoid(Tensor(x, dtype=dtype)).data
+        assert out.dtype == dtype
+        assert out.tobytes() == ref.tobytes()
 
     def test_sigmoid_range(self):
         x = Tensor(np.asarray([-1000.0, -5.0, 5.0, 1000.0]))
@@ -556,7 +585,7 @@ class TestFiniteDiff:
     [
         ("conv", None, (1, 3, 6, 6)),  # filled in below
         ("maxpool", lambda x: sum_(max_pool2x2(x)), (2, 2, 6, 6)),
-        ("gap_gmp", lambda x: sum_(add(global_avg_pool(x), global_max_pool(x))), (2, 2, 4, 4)),
+        ("gap_gmp", lambda x: sum_(add(gap(x), global_max_pool(x))), (2, 2, 4, 4)),
         ("resize", lambda x: sum_(bilinear_resize(x, 5, 7)), (1, 2, 3, 4)),
         ("softmax", lambda x: sum_(mul(softmax(x, -1), np.arange(6.0))), (4, 6)),
         ("gelu", lambda x: sum_(gelu(x)), (2, 5)),

@@ -206,6 +206,34 @@ class TestTrainLoop:
         recomputed = tr.validation_dice(params, samples[6:], batch_size=4)
         assert recomputed == pytest.approx(state.best_val_metric, abs=1e-9)
 
+    def test_best_epoch_restored(self, monkeypatch):
+        # validation Dice 0.5, 0.9, 0.1: after the run the parameters and
+        # batch-norm statistics are those of epoch 2, bit for bit
+        samples = generate_synthetic(8, size=(16, 16), seed=7)
+        params = build_model(tiny_config())
+        dice = iter([0.5, 0.9, 0.1])
+        monkeypatch.setattr(tr, "validation_dice", lambda *args: next(dice))
+        copies = []
+
+        def log_fn(row):
+            bn = {name: (st.running_mean.copy(), st.running_var.copy(), st.count)
+                  for name, st in params.bn_states.items()}
+            copies.append((params.store.copy_values(), bn))
+
+        cfg = tr.TrainConfig(batch_size=4, max_epochs=3, seed=0)
+        tr.train(params, samples[:6], samples[6:], cfg, log_fn=log_fn)
+        assert len(copies) == 3
+        values, bn = copies[1]
+        assert any(not np.array_equal(copies[2][0][n], values[n]) for n in values)
+        for name, t in params.store.items():
+            assert t.data.dtype == values[name].dtype
+            assert t.data.tobytes() == values[name].tobytes(), name
+        for name, st in params.bn_states.items():
+            mean, var, count = bn[name]
+            assert st.running_mean.tobytes() == mean.tobytes(), name
+            assert st.running_var.tobytes() == var.tobytes(), name
+            assert st.count == count
+
     def test_stop_at_metric(self):
         samples = generate_synthetic(4, size=(16, 16), seed=7)
         params = build_model(tiny_config())
