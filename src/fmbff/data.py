@@ -100,11 +100,13 @@ def generate_synthetic(n, size=(64, 64), seed=0):
         raise ConfigurationError(f"n must be >= 1, got {n}")
     if len(size) != 2 or not all(isinstance(v, int) and v >= 1 for v in size):
         raise ConfigurationError(f"size must be two integers >= 1 (HxW), got {size}")
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
     h, w = size
     samples = []
     for i in range(n):
         for attempt in range(64):
-            rng = np.random.default_rng([int(seed), i, attempt])
+            rng = np.random.default_rng([seed, i, attempt])
             sample = _one_sample(rng, h, w, f"synth{i:04d}")
             frac = float(sample.mask.mean())
             if 0.02 <= frac <= 0.6:

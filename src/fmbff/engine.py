@@ -514,7 +514,6 @@ class BatchNormState:
     MOMENTUM = 0.1
 
     def __init__(self, channels):
-        self.channels = channels
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
         self.count = 0
@@ -765,17 +764,21 @@ def dropout(x, p, mode, rng=None):
 
 
 class ParamStore:
-    """Ordered, named collection of leaf tensors; the unit of checkpointing.
+    """Ordered, named collection of leaf tensors plus the batch-norm running
+    statistics; together the unit of checkpointing.
 
-    Initialization is fan-in-scaled uniform for convolution weights, zeros
-    for biases and shifts, ones for normalization scales, all drawn from a
-    generator seeded with ``rng_seed`` so builds are reproducible.
+    ``conv``, ``norm`` and ``bn`` register one layer each.  Initialization is
+    fan-in-scaled uniform for convolution weights, a constant (zero unless
+    given) for biases, zeros for shifts and ones for normalization scales;
+    the draws come from a generator seeded with ``rng_seed`` so builds are
+    reproducible.
     """
 
     def __init__(self, rng_seed=0):
         self.rng_seed = int(rng_seed)
         self._rng = np.random.default_rng(self.rng_seed)
         self._entries = {}
+        self.bn_states = {}
 
     def add(self, name, data):
         if name in self._entries:
@@ -786,17 +789,23 @@ class ParamStore:
         self._entries[name] = t
         return t
 
-    def conv_weight(self, name, cout, cin_g, kh, kw):
-        fan_in = cin_g * kh * kw
-        bound = 1.0 / math.sqrt(fan_in)
+    def conv(self, name, cout, cin_g, kh, kw, bias=0.0):
+        """Register ``name.w`` then ``name.b`` (filled with ``bias``); returns (w, b)."""
+        bound = 1.0 / math.sqrt(cin_g * kh * kw)
         data = self._rng.uniform(-bound, bound, size=(cout, cin_g, kh, kw))
-        return self.add(name, data.astype(_DEFAULT_DTYPE))
+        w = self.add(f"{name}.w", data.astype(_DEFAULT_DTYPE))
+        return w, self.full(f"{name}.b", (cout,), bias)
 
-    def zeros(self, name, shape):
-        return self.add(name, np.zeros(shape, dtype=_DEFAULT_DTYPE))
+    def norm(self, name, c):
+        """Register ``name.scale`` (ones) and ``name.shift`` (zeros); returns both."""
+        return self.full(f"{name}.scale", (c,), 1.0), self.full(f"{name}.shift", (c,), 0.0)
 
-    def ones(self, name, shape):
-        return self.add(name, np.ones(shape, dtype=_DEFAULT_DTYPE))
+    def bn(self, name, c):
+        """A ``norm`` layer plus its running statistics in ``bn_states[name]``;
+        returns (scale, shift, state)."""
+        scale, shift = self.norm(name, c)
+        state = self.bn_states[name] = BatchNormState(c)
+        return scale, shift, state
 
     def full(self, name, shape, value):
         return self.add(name, np.full(shape, value, dtype=_DEFAULT_DTYPE))
@@ -804,9 +813,8 @@ class ParamStore:
     def scalar(self, name, value):
         return self.add(name, np.asarray(float(value), dtype=_DEFAULT_DTYPE))
 
-    def matrix(self, name, rows, cols, scale=None):
-        bound = scale if scale is not None else 1.0 / math.sqrt(cols)
-        data = self._rng.uniform(-bound, bound, size=(rows, cols))
+    def matrix(self, name, rows, cols, scale):
+        data = self._rng.uniform(-scale, scale, size=(rows, cols))
         return self.add(name, data.astype(_DEFAULT_DTYPE))
 
     def __getitem__(self, name):

@@ -10,13 +10,12 @@ previous skip, so skip widths are cumulative over the encoder widths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import blocks
 from .engine import (
-    BatchNormState,
     ParamStore,
     Tensor,
     batch_norm,
@@ -78,6 +77,8 @@ class ModelConfig:
             raise ConfigurationError(f"skip_mode: unknown value {self.skip_mode!r}")
         if not (math.isfinite(self.p_exponent) and self.p_exponent > 0):
             raise ConfigurationError(f"p_exponent: must be finite and > 0, got {self.p_exponent}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigurationError(f"seed: must be an integer >= 0, got {self.seed!r}")
 
     @property
     def bottleneck_size(self):
@@ -94,16 +95,10 @@ class ModelConfig:
 
 @dataclass
 class EncoderStageParams:
-    conv1_w: Tensor
-    conv1_b: Tensor
-    bn1_scale: Tensor
-    bn1_shift: Tensor
-    bn1_state: BatchNormState
-    conv2_w: Tensor
-    conv2_b: Tensor
-    bn2_scale: Tensor
-    bn2_shift: Tensor
-    bn2_state: BatchNormState
+    conv1: tuple
+    bn1: tuple
+    conv2: tuple
+    bn2: tuple
     fmcab: blocks.FmcabParams
 
 
@@ -112,7 +107,6 @@ class DecoderBlockParams:
     frm_up: blocks.FrmParams
     biffm: blocks.BiffmParams
     frm_fuse: blocks.FrmParams
-    out_channels: int
 
 
 @dataclass
@@ -124,13 +118,15 @@ class ModelParams:
     decoder: list
     head_w: Tensor
     head_b: Tensor
-    bn_states: dict = field(default_factory=dict)
+
+    @property
+    def bn_states(self):
+        """Batch-norm running statistics by layer name, in build order."""
+        return self.store.bn_states
 
 
 @dataclass
 class ForwardTrace:
-    skips: list
-    f_enc: Tensor
     decoder: list
     f_out: Tensor
 
@@ -138,23 +134,16 @@ class ForwardTrace:
 def build_model(config: ModelConfig) -> ModelParams:
     config.validate()
     store = ParamStore(config.seed)
-    bn_states = {}
 
     stages = []
     cin = config.in_channels
     for i, cout in enumerate(config.encoder_widths):
         p = f"enc{i + 1}"
         stage = EncoderStageParams(
-            conv1_w=store.conv_weight(f"{p}.conv1.w", cout, cin, 3, 3),
-            conv1_b=store.zeros(f"{p}.conv1.b", (cout,)),
-            bn1_scale=store.ones(f"{p}.bn1.scale", (cout,)),
-            bn1_shift=store.zeros(f"{p}.bn1.shift", (cout,)),
-            bn1_state=BatchNormState(cout),
-            conv2_w=store.conv_weight(f"{p}.conv2.w", cout, cout, 3, 3),
-            conv2_b=store.zeros(f"{p}.conv2.b", (cout,)),
-            bn2_scale=store.ones(f"{p}.bn2.scale", (cout,)),
-            bn2_shift=store.zeros(f"{p}.bn2.shift", (cout,)),
-            bn2_state=BatchNormState(cout),
+            conv1=store.conv(f"{p}.conv1", cout, cin, 3, 3),
+            bn1=store.bn(f"{p}.bn1", cout),
+            conv2=store.conv(f"{p}.conv2", cout, cout, 3, 3),
+            bn2=store.bn(f"{p}.bn2", cout),
             fmcab=blocks.FmcabParams.build(
                 store,
                 f"{p}.fmcab",
@@ -163,8 +152,6 @@ def build_model(config: ModelConfig) -> ModelParams:
                 p_exponent=config.p_exponent,
             ),
         )
-        bn_states[f"{p}.bn1"] = stage.bn1_state
-        bn_states[f"{p}.bn2"] = stage.bn2_state
         stages.append(stage)
         cin = cout
 
@@ -192,14 +179,10 @@ def build_model(config: ModelConfig) -> ModelParams:
         frm_fuse = blocks.FrmParams.build(
             store, f"{p}.frm_fuse", biffm.out_channels, cout, upsample=False
         )
-        out_channels = frm_fuse.out_channels + u_channels
-        bn_states[f"{p}.frm_up.bn"] = frm_up.bn_state
-        bn_states[f"{p}.frm_fuse.bn"] = frm_fuse.bn_state
-        decoder.append(DecoderBlockParams(frm_up, biffm, frm_fuse, out_channels))
-        prev = out_channels
+        decoder.append(DecoderBlockParams(frm_up, biffm, frm_fuse))
+        prev = frm_fuse.out_channels + u_channels
 
-    head_w = store.conv_weight("head.w", 1, prev, 1, 1)
-    head_b = store.zeros("head.b", (1,))
+    head_w, head_b = store.conv("head", 1, prev, 1, 1)
 
     return ModelParams(
         config=config,
@@ -209,29 +192,12 @@ def build_model(config: ModelConfig) -> ModelParams:
         decoder=decoder,
         head_w=head_w,
         head_b=head_b,
-        bn_states=bn_states,
     )
 
 
 def _stage_forward(x, stage, mode):
-    t = relu(
-        batch_norm(
-            conv2d(x, stage.conv1_w, stage.conv1_b, pad=1),
-            stage.bn1_scale,
-            stage.bn1_shift,
-            stage.bn1_state,
-            mode,
-        )
-    )
-    t = relu(
-        batch_norm(
-            conv2d(t, stage.conv2_w, stage.conv2_b, pad=1),
-            stage.bn2_scale,
-            stage.bn2_shift,
-            stage.bn2_state,
-            mode,
-        )
-    )
+    t = relu(batch_norm(conv2d(x, *stage.conv1, pad=1), *stage.bn1, mode))
+    t = relu(batch_norm(conv2d(t, *stage.conv2, pad=1), *stage.bn2, mode))
     return max_pool2x2(t)
 
 
@@ -278,7 +244,7 @@ def model_forward(f_in, params, mode="train", rng=None) -> ForwardTrace:
         decoder_outputs.append(prev)
 
     f_out = sigmoid(conv2d(prev, params.head_w, params.head_b))
-    return ForwardTrace(skips=skips, f_enc=f_enc, decoder=decoder_outputs, f_out=f_out)
+    return ForwardTrace(decoder=decoder_outputs, f_out=f_out)
 
 
 def predict_probs(params, images, batch_size):

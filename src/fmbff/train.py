@@ -60,6 +60,8 @@ class TrainConfig:
             )
         if self.plateau_patience < 1 or self.early_stop_patience < 1:
             raise ConfigurationError("patience values must be >= 1")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -247,6 +249,7 @@ def history_csv(history):
 _MAGIC = b"FMBF"
 _VERSION = 1
 _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_SKIP_MODES = ("literal_s4", "stage_matched")  # config/skip_mode holds the index
 
 
 def _scalar(v):
@@ -290,24 +293,28 @@ def _config_entries(cfg: ModelConfig):
         ("config/fmcab_reduction", _scalar(cfg.fmcab_reduction)),
         ("config/p_exponent", _scalar(cfg.p_exponent)),
         ("config/shuffle_groups", _scalar(cfg.shuffle_groups)),
-        ("config/skip_mode", _scalar(0 if cfg.skip_mode == "literal_s4" else 1)),
+        ("config/skip_mode", _scalar(_SKIP_MODES.index(cfg.skip_mode))),
         ("config/seed", _scalar(cfg.seed)),
     ]
     return entries
 
 
-def _config_from_entries(values):
+def _config_from_entries(entries):
+    whole = entries.whole
+    skip_mode = whole("config/skip_mode", ())
+    if skip_mode not in range(len(_SKIP_MODES)):
+        raise entries.bad("config/skip_mode", f"must be 0 or 1, got {skip_mode}")
     return ModelConfig(
-        in_channels=int(values["config/in_channels"]),
-        input_size=(int(values["config/input_h"]), int(values["config/input_w"])),
-        encoder_widths=tuple(int(v) for v in values["config/encoder_widths"]),
-        decoder_widths=tuple(int(v) for v in values["config/decoder_widths"]),
-        heads=int(values["config/heads"]),
-        fmcab_reduction=int(values["config/fmcab_reduction"]),
-        p_exponent=float(values["config/p_exponent"]),
-        shuffle_groups=int(values["config/shuffle_groups"]),
-        skip_mode="literal_s4" if int(values["config/skip_mode"]) == 0 else "stage_matched",
-        seed=int(values["config/seed"]),
+        in_channels=whole("config/in_channels", ()),
+        input_size=(whole("config/input_h", ()), whole("config/input_w", ())),
+        encoder_widths=whole("config/encoder_widths", (4,)),
+        decoder_widths=whole("config/decoder_widths", (4,)),
+        heads=whole("config/heads", ()),
+        fmcab_reduction=whole("config/fmcab_reduction", ()),
+        p_exponent=float(entries.shaped("config/p_exponent", ())),
+        shuffle_groups=whole("config/shuffle_groups", ()),
+        skip_mode=_SKIP_MODES[skip_mode],
+        seed=whole("config/seed", ()),
     )
 
 
@@ -377,7 +384,8 @@ def _read_exact(blob, offset, count, path):
 
 
 class _Entries(dict):
-    """Checkpoint entries by name; looking up a missing one is a format error."""
+    """Checkpoint entries by name.  Looking up a missing entry, or reading one
+    whose shape or value does not fit (``shaped``, ``whole``), is a format error."""
 
     def __init__(self, path):
         super().__init__()
@@ -385,6 +393,22 @@ class _Entries(dict):
 
     def __missing__(self, name):
         raise FormatError(f"{self.path}: missing checkpoint entry {name!r}")
+
+    def bad(self, name, problem):
+        return FormatError(f"{self.path}: checkpoint entry {name!r} {problem}")
+
+    def shaped(self, name, shape):
+        arr = self[name]
+        if arr.shape != shape:
+            raise self.bad(name, f"has shape {arr.shape}, expected {shape}")
+        return arr
+
+    def whole(self, name, shape):
+        """The entry as an int (shape ``()``) or a tuple of ints."""
+        arr = self.shaped(name, shape)
+        if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+            raise self.bad(name, f"must hold whole numbers, got {arr.tolist()}")
+        return int(arr) if arr.ndim == 0 else tuple(int(v) for v in arr)
 
 
 def read_checkpoint_entries(path):
@@ -430,25 +454,34 @@ def read_checkpoint_entries(path):
 def load_checkpoint(path):
     """Rebuild (ModelParams, TrainState-or-None) from a checkpoint file."""
     entries = read_checkpoint_entries(path)
-    config = _config_from_entries(entries)
-    params = build_model(config)
+    params = build_model(_config_from_entries(entries))
+    for name, arr in _model_entries(params):
+        entries.shaped(name, arr.shape)
+    for name in params.bn_states:
+        entries.whole(f"bnstat/{name}/count", ())
     _load_model_entries(params, entries)
 
     state = None
     if "state/lr" in entries:
+        whole = entries.whole
+        words = entries.shaped("state/rng", (6,))
+        try:
+            rng = _decode_rng(words)
+        except (OverflowError, ValueError):
+            raise entries.bad("state/rng", "is not a PCG64 generator state")
         state = TrainState(
-            lr=float(entries["state/lr"]),
-            epoch=int(entries["state/epoch"]),
-            best_val_metric=float(entries["state/best"]),
-            epochs_since_best=int(entries["state/since_best"]),
-            epochs_since_plateau=int(entries["state/since_plateau"]),
-            reductions=int(entries["state/reductions"]),
-            adam_t=int(entries["state/adam_t"]),
-            rng=_decode_rng(entries["state/rng"]),
+            lr=float(entries.shaped("state/lr", ())),
+            epoch=whole("state/epoch", ()),
+            best_val_metric=float(entries.shaped("state/best", ())),
+            epochs_since_best=whole("state/since_best", ()),
+            epochs_since_plateau=whole("state/since_plateau", ()),
+            reductions=whole("state/reductions", ()),
+            adam_t=whole("state/adam_t", ()),
+            rng=rng,
         )
-        for name in params.store.names():
+        for name, t in params.store.items():
             key = f"adam/m/{name}"
             if key in entries:
-                state.adam_m[name] = entries[key]
-                state.adam_v[name] = entries[f"adam/v/{name}"]
+                state.adam_m[name] = entries.shaped(key, t.shape)
+                state.adam_v[name] = entries.shaped(f"adam/v/{name}", t.shape)
     return params, state

@@ -71,7 +71,7 @@ def test_criterion_2_equation_fidelity(acceptance_report):
     # zero-init fuse projection: the ViTM block reduces to the residual
     store = ParamStore(rng_seed=1)
     vp = VitmParams.build(store, "v", channels=4, spatial_hw=16, heads=2)
-    vp.fuse_1x1_w.data[:] = 0.0
+    store["v.fuse_1x1.w"].data[:] = 0.0
     x = Tensor(np.random.default_rng(0).random((1, 4, 4, 4)).astype(np.float32))
     out = vitm_forward(x, vp)
     checks.append(("zero fuse_1x1 => ViTM identity",
@@ -93,7 +93,7 @@ def test_criterion_2_equation_fidelity(acceptance_report):
     store = ParamStore(rng_seed=3)
     vp = VitmParams.build(store, "t", channels=4, spatial_hw=9, heads=1)
     eye = np.eye(4, dtype=np.float32).reshape(4, 4, 1, 1)
-    for wt in (vp.wq_w, vp.wk_w, vp.wv_w):
+    for wt in (store["t.wq.w"], store["t.wk.w"], store["t.wv.w"]):
         wt.data = eye.copy()
     vp.pos_embed.data = np.zeros((9, 4), dtype=np.float32)
     x = Tensor(np.full((1, 4, 3, 3), 0.3, dtype=np.float32))

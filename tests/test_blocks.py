@@ -107,7 +107,7 @@ class TestTsaGsa:
         c = 4
         params = blocks.VitmParams.build(store, "t", c, 9, heads=1)
         eye = np.eye(c, dtype=np.float32).reshape(c, c, 1, 1)
-        for wt in (params.wq_w, params.wk_w, params.wv_w):
+        for wt in (store["t.wq.w"], store["t.wk.w"], store["t.wv.w"]):
             wt.data = eye.copy()
         params.pos_embed.data = np.zeros((9, c), dtype=np.float32)
         x = Tensor(np.full((1, c, 3, 3), 2.0, dtype=np.float32))
@@ -147,7 +147,7 @@ class TestVitm:
     def test_zero_fuse_is_identity(self):
         store = ParamStore(7)
         params = blocks.VitmParams.build(store, "t", 8, 16, heads=2)
-        params.fuse_1x1_w.data = np.zeros_like(params.fuse_1x1_w.data)
+        store["t.fuse_1x1.w"].data = np.zeros_like(store["t.fuse_1x1.w"].data)
         x = Tensor(np.random.default_rng(10).standard_normal((2, 8, 4, 4)).astype(np.float32))
         out = blocks.vitm_forward(x, params)
         np.testing.assert_array_equal(out.data, x.data)

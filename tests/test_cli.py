@@ -127,6 +127,15 @@ class TestSynth:
             assert "Traceback" not in err
         assert "size 1x1" in err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert cli.main(["synth", "--n", "1", "--size", "16x16", "--seed", "-1",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "seed" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_trains_and_writes_artifacts(self, tmp_path):
@@ -179,6 +188,8 @@ class TestTrain:
         "model.input_size = -16x-16",
         "model.p_exponent = nan",
         "model.p_exponent = inf",
+        "train.seed = -1",
+        "model.seed = -3",
     ])
     def test_invalid_train_value_exits_2(self, tmp_path, capsys, line):
         ds = tmp_path / "ds"

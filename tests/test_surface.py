@@ -1,6 +1,7 @@
 """Guard against dead surface: every public function of the package is used
-somewhere in the package itself, not only by tests; the declared dependencies
-are exactly the third-party modules the package imports."""
+somewhere in the package itself, not only by tests; every dataclass field is
+read somewhere in the package; the declared dependencies are exactly the
+third-party modules the package imports."""
 
 import ast
 import os
@@ -70,6 +71,56 @@ def test_scan_flags_a_function_nothing_calls(tmp_path):
     )
     (tmp_path / "user.py").write_text("from . import ops as o\n\nVALUE = o.via_alias\n")
     assert unused_public_functions(tmp_path) == ["ops.dead"]
+
+
+def unread_dataclass_fields(package_dir):
+    """Fields of the dataclasses in ``package_dir`` that no source there reads.
+
+    A field counts as read when an attribute of its name is loaded anywhere
+    (``params.heads``), whatever object it is loaded from.
+    """
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+    trees = [ast.parse(path.read_text()) for path in Path(package_dir).glob("*.py")]
+    fields = {
+        (node.name, stmt.target.id)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    assert unread_dataclass_fields(PACKAGE) == []
+
+
+def test_scan_flags_a_field_nothing_reads(tmp_path):
+    (tmp_path / "records.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\n"
+        "class Layer:\n    weight: int\n    dead: int = 0\n\n"
+        "@dataclasses.dataclass(eq=False)\n"
+        "class Trace:\n    out: int\n    written: int\n\n"
+        "class Plain:\n    ignored: int\n"
+    )
+    (tmp_path / "user.py").write_text(
+        "def use(layer, trace):\n"
+        "    trace.written = layer.weight\n"
+        "    return trace.out\n"
+    )
+    assert unread_dataclass_fields(tmp_path) == ["Layer.dead", "Trace.written"]
 
 
 def third_party_imports(package_dir):

@@ -608,21 +608,21 @@ def test_primitive_gradients(name, f, shape):
 class TestParamStore:
     def test_order_and_uniqueness(self):
         store = ParamStore(0)
-        store.zeros("a", (2,))
-        store.ones("b", (3,))
+        store.full("a", (2,), 0.0)
+        store.full("b", (3,), 1.0)
         assert store.names() == ["a", "b"]
         with pytest.raises(UsageError):
-            store.zeros("a", (2,))
+            store.full("a", (2,), 0.0)
 
     def test_deterministic_init(self):
-        w1 = ParamStore(42).conv_weight("w", 4, 3, 3, 3)
-        w2 = ParamStore(42).conv_weight("w", 4, 3, 3, 3)
+        w1, _ = ParamStore(42).conv("c", 4, 3, 3, 3)
+        w2, _ = ParamStore(42).conv("c", 4, 3, 3, 3)
         np.testing.assert_array_equal(w1.data, w2.data)
 
     def test_copy_load_roundtrip(self):
         store = ParamStore(1)
-        store.conv_weight("w", 2, 2, 1, 1)
+        store.conv("c", 2, 2, 1, 1)
         values = store.copy_values()
-        store["w"].data[:] = 0
+        store["c.w"].data[:] = 0
         store.load_values(values)
-        np.testing.assert_array_equal(store["w"].data, values["w"])
+        np.testing.assert_array_equal(store["c.w"].data, values["c.w"])

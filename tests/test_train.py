@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import struct
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 tr = importlib.import_module("fmbff.train")
-from fmbff.data import generate_synthetic
+from fmbff import cli
+from fmbff.data import generate_synthetic, write_image
 from fmbff.engine import ParamStore, Tensor, backward, dtype_session, finite_diff_check
 from fmbff.errors import FormatError, ParseError, UsageError
 from fmbff.model import ModelConfig, build_model, model_forward
@@ -321,6 +323,22 @@ def _write_entries(path, entries):
     path.write_bytes(_seal(buf))
 
 
+# One entry replaced by a value of the wrong shape, or by a value that is not
+# a whole number where the reader needs one; the CRC stays valid.
+MALFORMED_ENTRIES = [
+    ("config/input_h", np.array(np.nan)),
+    ("config/encoder_widths", np.array(4.0)),
+    ("config/heads", np.array(2.5)),
+    ("config/skip_mode", np.array(2.0)),
+    ("bnstat/enc1.bn1/count", np.array(np.nan)),
+    ("bnstat/enc1.bn1/mean", np.zeros(1)),
+    ("param/head.w", np.zeros((1, 3, 1, 1), dtype=np.float32)),
+    ("state/epoch", np.array(np.inf)),
+    ("state/rng", np.full(6, 1e300)),
+    ("adam/m/head.w", np.zeros((2,), dtype=np.float32)),
+]
+
+
 class TestCheckpoint:
     def _trained(self, tmp_path):
         params, state, _ = _tiny_run(epochs=1, n_train=4, n_val=2)
@@ -359,6 +377,22 @@ class TestCheckpoint:
         loaded_params, loaded_state = tr.load_checkpoint(path)
         assert loaded_params.config == params.config
         assert loaded_state is None
+
+    def test_registry_and_bytes_pinned(self, tmp_path):
+        # Parameter names, shapes and order fix the init draws and the
+        # checkpoint layout; these values must not drift across refactors.
+        params = build_model(tiny_config())
+        listing = "".join(f"{name} {t.shape}\n" for name, t in params.store.items())
+        assert len(params.store) == 247
+        assert hashlib.sha256(listing.encode()).hexdigest() == (
+            "417e9dd94a6b563d840dc66ef1d41e7dd75202c5f041121ed97d8b9ae1e4834f")
+        assert list(params.bn_states) == [
+            f"enc{i}.bn{j}" for i in range(1, 5) for j in (1, 2)
+        ] + [f"dec{i}.frm_{kind}.bn" for i in range(1, 5) for kind in ("up", "fuse")]
+        path = tmp_path / "c.fmbf"
+        tr.save_checkpoint(path, params)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "7c1a9b965c2679ee9776f942bc990dde7e14ea8d43ceab80436d5db74967925b")
 
     def test_corrupt_payload_byte(self, tmp_path):
         _, _, path = self._trained(tmp_path)
@@ -403,6 +437,24 @@ class TestCheckpoint:
         _write_entries(path, entries)
         with pytest.raises(FormatError, match=f"missing checkpoint entry '{missing}'"):
             tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name,value", MALFORMED_ENTRIES,
+                             ids=[name for name, _ in MALFORMED_ENTRIES])
+    def test_malformed_entry_exits_3(self, tmp_path, capsys, name, value):
+        _, _, path = self._trained(tmp_path)
+        entries = tr.read_checkpoint_entries(path)
+        entries[name] = value
+        _write_entries(path, entries)
+        with pytest.raises(FormatError, match=f"checkpoint entry '{name}'"):
+            tr.load_checkpoint(path)
+        image = tmp_path / "probe.ppm"
+        write_image(image, generate_synthetic(1, size=(16, 16), seed=1)[0].image)
+        capsys.readouterr()
+        assert cli.main(["predict", "--image", str(image), "--ckpt", str(path),
+                         "--out", str(tmp_path / "pred")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert name in err and "Traceback" not in err
 
     def test_stray_bytes_before_crc(self, tmp_path):
         _, _, path = self._trained(tmp_path)
