@@ -8,7 +8,6 @@ from .engine import (
     backward,
     dtype_session,
     finite_diff_check,
-    set_default_dtype,
 )
 from .errors import (
     ConfigurationError,
@@ -35,7 +34,6 @@ __all__ = [
     "backward",
     "dtype_session",
     "finite_diff_check",
-    "set_default_dtype",
     "ConfigurationError",
     "DimensionError",
     "FmbffError",

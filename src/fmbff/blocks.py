@@ -46,6 +46,8 @@ from .engine import (
 )
 from .errors import ConfigurationError, DimensionError
 
+FRM_DROP_P = 0.5  # dropout probability of the FRM branch
+
 
 def _gap(x):  # global average pool
     return mean_(x, axis=(2, 3), keepdims=True)
@@ -312,19 +314,17 @@ class FrmParams:
     in_channels: int
     branch_channels: int
     upsample: bool
-    drop_p: float
     dw: tuple
     pw: tuple
     bn: tuple
 
     @classmethod
-    def build(cls, store, prefix, cin, cout, upsample, drop_p=0.5):
+    def build(cls, store, prefix, cin, cout, upsample):
         p = prefix
         return cls(
             in_channels=cin,
             branch_channels=cout,
             upsample=upsample,
-            drop_p=drop_p,
             dw=store.conv(f"{p}.dw", cin, 1, 3, 3),
             pw=store.conv(f"{p}.pw", cout, cin, 1, 1),
             bn=store.bn(f"{p}.bn", cout),
@@ -335,7 +335,7 @@ class FrmParams:
         return self.branch_channels + self.in_channels
 
 
-def frm_forward(x, params, mode="train", rng=None):
+def frm_forward(x, params, mode, rng=None):
     _check_channels(x, params.in_channels, "frm_forward")
     h, w = x.shape[2], x.shape[3]
     if params.upsample:
@@ -344,7 +344,7 @@ def frm_forward(x, params, mode="train", rng=None):
     else:
         oh, ow = h, w
         t = x
-    t = dropout(t, params.drop_p, mode, rng)
+    t = dropout(t, FRM_DROP_P, mode, rng)
     t = dws_conv3x3(t, *params.dw, *params.pw)
     t = relu(t)
     t = batch_norm(t, *params.bn, mode)

@@ -133,7 +133,7 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def write_manifest(out_dir, command, seed, config=None, checkpoint=None, outputs=()):
+def write_manifest(out_dir, command, seed, config, outputs, checkpoint=None):
     manifest = {
         "command": command,
         "seed": seed,
@@ -179,7 +179,7 @@ def cmd_synth(args):
 def cmd_train(args):
     model_config, train_config = load_config(args.config)
     samples = data.load_dataset(args.data)
-    plan = data.split([s.id for s in samples], ratio=0.8, seed=train_config.seed)
+    plan = data.split([s.id for s in samples], seed=train_config.seed)
     by_id = {s.id: s for s in samples}
     train_set = [by_id[i] for i in plan.train_ids]
     val_set = [by_id[i] for i in plan.val_ids]
@@ -329,7 +329,7 @@ def main(argv=None):
         if hasattr(args, "size"):
             args.size = _parse_int_tuple(args.size, "--size")
         return args.fn(args)
-    except (ConfigurationError, DimensionError, StateError, UsageError) as exc:
+    except (ConfigurationError, DimensionError, StateError, UsageError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ParseError, FormatError, ValidationError, OSError) as exc:

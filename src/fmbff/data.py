@@ -21,6 +21,8 @@ from .errors import ConfigurationError, ParseError, ValidationError
 
 ROTATION_STEP = 30
 BRIGHTNESS_FACTORS = (1.0, 0.8, 1.2)
+TRAIN_FRACTION = 0.8  # share of the ids that `split` puts in the training set
+NOISE_PASSES = 3  # box-blur passes that smooth the synthetic background
 
 
 @dataclass
@@ -50,9 +52,9 @@ class SplitPlan:
 # synthetic data
 
 
-def _smooth_noise(rng, h, w, passes=3):
+def _smooth_noise(rng, h, w):
     field = rng.random((h, w))
-    for _ in range(passes):
+    for _ in range(NOISE_PASSES):
         acc = field.copy()
         acc[1:] += field[:-1]
         acc[:-1] += field[1:]
@@ -216,13 +218,13 @@ def expand_augmentations(sample: Sample):
 # splits
 
 
-def split(ids, ratio=0.8, seed=0) -> SplitPlan:
+def split(ids, seed=0) -> SplitPlan:
     ids = list(ids)
     if not ids:
         raise ConfigurationError("split over an empty id list")
     rng = np.random.default_rng(seed)
     order = [ids[i] for i in rng.permutation(len(ids))]
-    cut = int(round(len(ids) * ratio))
+    cut = int(round(len(ids) * TRAIN_FRACTION))
     return SplitPlan(train_ids=order[:cut], val_ids=order[cut:])
 
 

@@ -21,25 +21,25 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, StateError, UsageError
 
 _DEFAULT_DTYPE = np.float32
-
-
-def set_default_dtype(dtype):
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ConfigurationError(f"unsupported element type {dtype}")
-    _DEFAULT_DTYPE = dtype.type
+NORM_EPS = 1e-5  # variance offset of both normalizations
+# Central-difference step, and the magnitude floor of the relative error that
+# keeps roundoff on (near-)zero gradients from reading as a disagreement.
+FD_STEP = 1e-5
+FD_FLOOR = 1e-3
 
 
 @contextmanager
 def dtype_session(dtype):
     """Temporarily switch the session element type (e.g. float64 for gradcheck)."""
-    previous = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
+    global _DEFAULT_DTYPE
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ConfigurationError(f"unsupported element type {dtype}")
+    previous, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype.type
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _DEFAULT_DTYPE = previous
 
 
 class Tensor:
@@ -547,22 +547,22 @@ def _standardize(x, axes, eps):
     return mul(xc, pow_(add(var, float(eps)), -0.5)), mu, var
 
 
-def layer_norm(x, scale, shift, eps=1e-5):
+def layer_norm(x, scale, shift, eps=NORM_EPS):
     """Normalize over C,H,W per sample, then apply the channel affine."""
     y, _, _ = _standardize(x, (1, 2, 3), eps)
     return _affine(y, scale, shift)
 
 
-def batch_norm(x, scale, shift, state, mode, eps=1e-5):
+def batch_norm(x, scale, shift, state, mode):
     """Normalize over N,H,W per channel; eval mode uses running statistics."""
     if mode == "train":
-        y, mu, var = _standardize(x, (0, 2, 3), eps)
+        y, mu, var = _standardize(x, (0, 2, 3), NORM_EPS)
         state.update(mu.data.reshape(-1), var.data.reshape(-1))
     elif mode == "eval":
         if not state.populated:
             raise StateError("eval-mode batch norm before any training batch")
         rm = state.running_mean.astype(x.data.dtype).reshape(1, -1, 1, 1)
-        rs = (1.0 / np.sqrt(state.running_var + eps)).astype(x.data.dtype)
+        rs = (1.0 / np.sqrt(state.running_var + NORM_EPS)).astype(x.data.dtype)
         y = mul(sub(x, rm), rs.reshape(1, -1, 1, 1))
     else:
         raise ConfigurationError(f"unknown mode {mode!r}")
@@ -703,15 +703,12 @@ def permute(x, axes):
 
 def concat(tensors, axis):
     tensors = list(tensors)
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if len(t.shape) != len(ref) or any(
-            i != axis and t.shape[i] != ref[i] for i in range(len(ref))
-        ):
-            raise DimensionError(
-                f"concat shapes {[t.shape for t in tensors]} disagree off axis {axis}"
-            )
-    data = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        data = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:
+        raise DimensionError(
+            f"concat shapes {[t.shape for t in tensors]} disagree off axis {axis}"
+        ) from exc
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -774,7 +771,7 @@ class ParamStore:
     reproducible.
     """
 
-    def __init__(self, rng_seed=0):
+    def __init__(self, rng_seed):
         self.rng_seed = int(rng_seed)
         self._rng = np.random.default_rng(self.rng_seed)
         self._entries = {}
@@ -854,7 +851,7 @@ class ParamStore:
 # finite-difference oracle
 
 
-def finite_diff_check(f, x, h=1e-5):
+def finite_diff_check(f, x):
     """Max relative error between analytic and central-difference gradients.
 
     ``f`` must map ``x`` to a scalar Tensor and be deterministic (run dropout
@@ -879,16 +876,14 @@ def finite_diff_check(f, x, h=1e-5):
     numeric = np.zeros_like(x.data)
     for i in np.ndindex(x.shape):
         orig = x.data[i]
-        x.data[i] = orig + h
+        x.data[i] = orig + FD_STEP
         fp = float(f(x).data.reshape(()))
-        x.data[i] = orig - h
+        x.data[i] = orig - FD_STEP
         fm = float(f(x).data.reshape(()))
         x.data[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * h)
+        numeric[i] = (fp - fm) / (2.0 * FD_STEP)
 
-    # The 1e-3 floor keeps finite-difference roundoff noise on (near-)zero
-    # gradients from registering as a large relative disagreement.
     rel = np.abs(analytic - numeric) / np.maximum(
-        np.abs(analytic) + np.abs(numeric), 1e-3
+        np.abs(analytic) + np.abs(numeric), FD_FLOOR
     )
     return float(rel.max()) if rel.size else 0.0

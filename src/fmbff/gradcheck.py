@@ -11,6 +11,8 @@ import numpy as np
 
 from . import blocks
 from .engine import (
+    FD_FLOOR,
+    FD_STEP,
     ParamStore,
     Tensor,
     backward,
@@ -28,20 +30,17 @@ BLOCK_TOLERANCE = 1e-5
 MODEL_TOLERANCE = 1e-4
 
 
-def _scalarize(out, seed=123):
+def _scalarize(out):
     """Weighted sum so permutation/routing mistakes can't cancel out."""
-    w = np.random.default_rng(seed).standard_normal(out.shape)
+    w = np.random.default_rng(123).standard_normal(out.shape)
     return sum_(mul(out, w))
 
 
-def _coordinate_errors(f, named_tensors, h=1e-5):
-    return [
-        (name, finite_diff_check(lambda _x: f(), t, h=h))
-        for name, t in named_tensors
-    ]
+def _coordinate_errors(f, named_tensors):
+    return [(name, finite_diff_check(lambda _x: f(), t)) for name, t in named_tensors]
 
 
-def _directional_errors(f, named_tensors, h=1e-5, seed=321):
+def _directional_errors(f, named_tensors):
     for _, t in named_tensors:
         t.grad = None
     backward(f())
@@ -49,7 +48,7 @@ def _directional_errors(f, named_tensors, h=1e-5, seed=321):
         name: t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
         for name, t in named_tensors
     }
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(321)
     errors = []
     for name, t in named_tensors:
         d = rng.standard_normal(t.data.shape)
@@ -57,15 +56,15 @@ def _directional_errors(f, named_tensors, h=1e-5, seed=321):
         if norm > 0:
             d /= norm
         orig = t.data.copy()
-        t.data = orig + h * d
+        t.data = orig + FD_STEP * d
         fp = float(f().data.reshape(()))
-        t.data = orig - h * d
+        t.data = orig - FD_STEP * d
         fm = float(f().data.reshape(()))
         t.data = orig
-        numeric = (fp - fm) / (2.0 * h)
+        numeric = (fp - fm) / (2.0 * FD_STEP)
         analytic = float((grads[name] * d).sum())
         errors.append(
-            (name, abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-3))
+            (name, abs(analytic - numeric) / max(abs(analytic) + abs(numeric), FD_FLOOR))
         )
     return errors
 
@@ -74,16 +73,16 @@ def _named(store: ParamStore, x: Tensor):
     return [("input", x)] + list(store.items())
 
 
-def _jitter(store: ParamStore, seed=11, scale=0.05):
-    """Nudge every parameter off its init value.
+def _jitter(store: ParamStore):
+    """Nudge every parameter off its init value by up to 0.05.
 
     Zero-initialized biases otherwise leave pre-activations sitting exactly
     on the relu kink (e.g. under fully dropped-out patches), where finite
     differences disagree with the one-sided analytic subgradient.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     for _, t in store.items():
-        noise = rng.uniform(-scale, scale, size=t.data.shape)
+        noise = rng.uniform(-0.05, 0.05, size=t.data.shape)
         t.data = np.asarray(t.data + noise, dtype=t.data.dtype)
 
 

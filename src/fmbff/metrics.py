@@ -87,11 +87,12 @@ def _aggregate_rows(rows, columns):
     return agg
 
 
-def aggregate(per_image, folds=None, include_precision=False) -> MetricsReport:
-    """Mean and population std over per-image metric dicts (id -> values)."""
+def aggregate(per_image, folds=None) -> MetricsReport:
+    """Mean and population std over per-image metric dicts (id -> values);
+    the ``pr`` column is added when the rows carry precision."""
     if not per_image:
         raise UsageError("aggregate over an empty report set")
-    columns = METRIC_NAMES + (("pr",) if include_precision else ())
+    columns = METRIC_NAMES + (("pr",) if "pr" in next(iter(per_image.values())) else ())
     agg = _aggregate_rows(list(per_image.values()), columns)
     fold_aggs = None
     if folds is not None:
@@ -115,7 +116,7 @@ def evaluate(pred_by_id, gt_by_id, folds=None, include_precision=False):
     for sid, pred in pred_by_id.items():
         c = confusion(pred[None], gt_by_id[sid][None])[0]
         per_image[sid] = metrics_from(c, include_precision)
-    return aggregate(per_image, folds=folds, include_precision=include_precision)
+    return aggregate(per_image, folds=folds)
 
 
 # ---------------------------------------------------------------------------

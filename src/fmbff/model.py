@@ -127,7 +127,6 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    decoder: list
     f_out: Tensor
 
 
@@ -201,7 +200,7 @@ def _stage_forward(x, stage, mode):
     return max_pool2x2(t)
 
 
-def encoder_forward(f_in, params, mode="train"):
+def encoder_forward(f_in, params, mode):
     """Run the four stages; returns (stage outputs, aggregated skips)."""
     cfg = params.config
     if f_in.ndim != 4 or f_in.shape[1] != cfg.in_channels:
@@ -222,7 +221,7 @@ def encoder_forward(f_in, params, mode="train"):
     return outputs, skips
 
 
-def model_forward(f_in, params, mode="train", rng=None) -> ForwardTrace:
+def model_forward(f_in, params, mode, rng=None) -> ForwardTrace:
     cfg = params.config
     h, w = cfg.input_size
     if f_in.shape[2] != h or f_in.shape[3] != w:
@@ -232,7 +231,6 @@ def model_forward(f_in, params, mode="train", rng=None) -> ForwardTrace:
     stage_outputs, skips = encoder_forward(f_in, params, mode)
     f_enc = blocks.vitm_forward(stage_outputs[3], params.vitm)
 
-    decoder_outputs = []
     prev = f_enc
     for i, block in enumerate(params.decoder):
         u = blocks.frm_forward(prev, block.frm_up, mode, rng)
@@ -241,10 +239,9 @@ def model_forward(f_in, params, mode="train", rng=None) -> ForwardTrace:
         reconstructed = blocks.frm_forward(fused, block.frm_fuse, mode, rng)
         matched = bilinear_resize(u, reconstructed.shape[2], reconstructed.shape[3])
         prev = concat([reconstructed, matched], axis=1)
-        decoder_outputs.append(prev)
 
     f_out = sigmoid(conv2d(prev, params.head_w, params.head_b))
-    return ForwardTrace(decoder=decoder_outputs, f_out=f_out)
+    return ForwardTrace(f_out=f_out)
 
 
 def predict_probs(params, images, batch_size):

@@ -28,6 +28,11 @@ from .errors import (
 from .model import ModelConfig, ModelParams, build_model, model_forward, predict_probs
 
 _U64 = (1 << 64) - 1
+# Adam's decay rates and denominator offset, and the soft-Dice smoothing.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+DICE_SMOOTH = 1.0
 
 
 @dataclass
@@ -82,7 +87,7 @@ class TrainState:
 # loss
 
 
-def loss(pred, gt, w_bce=1.0, w_dice=1.0, eps=1.0):
+def loss(pred, gt, w_bce=1.0, w_dice=1.0):
     """Weighted BCE + (1 - soft Dice) on probability maps in (0, 1)."""
     gt_arr = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=pred.data.dtype)
     if pred.shape != gt_arr.shape:
@@ -96,7 +101,7 @@ def loss(pred, gt, w_bce=1.0, w_dice=1.0, eps=1.0):
     intersection = sum_(mul(pred, gt_arr))
     total = add(sum_(pred), float(gt_arr.sum()))
     soft_dice = mul(
-        add(mul(intersection, 2.0), eps), pow_(add(total, eps), -1.0)
+        add(mul(intersection, 2.0), DICE_SMOOTH), pow_(add(total, DICE_SMOOTH), -1.0)
     )
     return add(mul(bce, w_bce), mul(sub(1.0, soft_dice), w_dice))
 
@@ -105,15 +110,15 @@ def loss(pred, gt, w_bce=1.0, w_dice=1.0, eps=1.0):
 # optimizer and schedule
 
 
-def adam_step(store, state: TrainState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(store, state: TrainState, lr):
     """One Adam update over every ParamStore entry; clears grads afterwards."""
     for name, p in store.items():
         if p.grad is None:
             raise UsageError(f"adam_step before backward: no grad for {name!r}")
     state.adam_t += 1
     t = state.adam_t
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in store.items():
         g = p.grad
         m = state.adam_m.get(name)
@@ -121,11 +126,11 @@ def adam_step(store, state: TrainState, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
         state.adam_m[name] = m
         state.adam_v[name] = v
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.grad = None
 
 
@@ -153,7 +158,7 @@ def early_stop(state: TrainState, cfg: TrainConfig):
 # training loop
 
 
-def validation_dice(params, samples, batch_size=8):
+def validation_dice(params, samples, batch_size):
     masks = np.stack([s.mask for s in samples])
     probs = np.stack(predict_probs(params, [s.image for s in samples], batch_size))
     confusions = metrics_mod.confusion(probs, masks)

@@ -204,6 +204,19 @@ class TestTrain:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    def test_absurd_model_size_exits_2(self, tmp_path, capsys):
+        # far beyond a 47-bit (128 TiB) address space, so no host can allocate it
+        ds = tmp_path / "ds"
+        cli.main(["synth", "--n", "5", "--size", "16x16", "--out", str(ds)])
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY_CONFIG + "model.in_channels = 1000000000000\n")
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(ds), "--config", str(cfg),
+                         "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
 
 class TestEvalPredict:
     def test_predict_extents_match_input(self, tmp_path, capsys):
@@ -299,6 +312,34 @@ class TestEvalPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "heads" in err and "Traceback" not in err
+
+    def test_absurd_checkpoint_size_exits_2(self, tmp_path, capsys):
+        # far beyond a 47-bit (128 TiB) address space, so no host can allocate it
+        params, _ = train_mod.load_checkpoint(tiny_checkpoint(tmp_path))
+        params.config = dataclasses.replace(params.config, in_channels=10**12)
+        ckpt = tmp_path / "huge.fmbf"
+        train_mod.save_checkpoint(ckpt, params)
+        img_path = tmp_path / "probe.ppm"
+        data.write_image(img_path, data.generate_synthetic(1, size=(16, 16), seed=1)[0].image)
+        capsys.readouterr()
+        assert cli.main(["predict", "--image", str(img_path), "--ckpt", str(ckpt),
+                         "--out", str(tmp_path / "pred")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+    def test_dataset_without_manifest_missing_mask_exits_3(self, tmp_path, capsys):
+        ckpt = tiny_checkpoint(tmp_path)
+        ds = tmp_path / "ds"
+        data.write_dataset(ds, data.generate_synthetic(2, size=(16, 16), seed=3))
+        (ds / "manifest.txt").unlink()
+        (ds / "masks" / "synth0001_mask.pgm").unlink()
+        capsys.readouterr()
+        assert cli.main(["eval", "--data", str(ds), "--ckpt", str(ckpt),
+                         "--out", str(tmp_path / "report")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "synth0001_mask.pgm" in err and "Traceback" not in err
 
     def test_corrupt_checkpoint_exits_3(self, tmp_path):
         ckpt = tiny_checkpoint(tmp_path)

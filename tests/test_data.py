@@ -88,7 +88,7 @@ class TestAugment:
 class TestSplits:
     def test_80_20(self):
         ids = [f"s{i}" for i in range(100)]
-        plan = data.split(ids, ratio=0.8, seed=0)
+        plan = data.split(ids, seed=0)
         assert len(plan.train_ids) == 80 and len(plan.val_ids) == 20
         assert set(plan.train_ids) | set(plan.val_ids) == set(ids)
         assert not set(plan.train_ids) & set(plan.val_ids)
@@ -191,6 +191,14 @@ class TestDatasetDir:
         for a, b in zip(loaded, samples):
             np.testing.assert_array_equal(a.mask, b.mask)
             assert np.abs(a.image - b.image).max() <= 1 / 255 + 1e-6
+
+    def test_load_without_manifest_sorts_image_ids(self, tmp_path):
+        samples = data.generate_synthetic(3, size=(16, 16), seed=13)
+        data.write_dataset(tmp_path, samples[::-1])
+        (tmp_path / "manifest.txt").unlink()
+        (tmp_path / "images" / "notes.txt").write_text("not an image\n")
+        loaded = data.load_dataset(tmp_path)
+        assert [s.id for s in loaded] == ["synth0000", "synth0001", "synth0002"]
 
     def test_sample_validation(self):
         s = data.Sample(

@@ -1,9 +1,11 @@
 """Guard against dead surface: every public function of the package is used
 somewhere in the package itself, not only by tests; every dataclass field is
-read somewhere in the package; the declared dependencies are exactly the
-third-party modules the package imports."""
+read somewhere in the package; every defaulted parameter is passed by some
+call in the package; the declared dependencies are exactly the third-party
+modules the package imports."""
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -77,7 +79,9 @@ def unread_dataclass_fields(package_dir):
     """Fields of the dataclasses in ``package_dir`` that no source there reads.
 
     A field counts as read when an attribute of its name is loaded anywhere
-    (``params.heads``), whatever object it is loaded from.
+    (``params.heads``), whatever object it is loaded from.  That is a blind
+    spot: a field nothing reads still passes when another class has a field
+    of the same name that is read.
     """
     def is_dataclass(decorator):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
@@ -121,6 +125,98 @@ def test_scan_flags_a_field_nothing_reads(tmp_path):
         "    return trace.out\n"
     )
     assert unread_dataclass_fields(tmp_path) == ["Layer.dead", "Trace.written"]
+
+
+# Defaulted parameters that only callers outside the package set, by setter.
+EXEMPT_PARAMS = {
+    "Tensor.dtype",  # tests
+    "biffm_forward.return_gates",  # acceptance criteria 2 and 4
+    "tsa_forward.return_attn",  # acceptance criteria 2 and 4
+    "gsa_forward.return_attn",  # acceptance criteria 2 and 4
+    "train.stop_at_metric",  # acceptance criterion 6
+    "train.log_fn",  # tests/test_train.py
+    "main.argv",  # the console script
+}
+
+
+def unpassed_defaults(package_dir):
+    """Defaulted parameters that no call in ``package_dir`` passes.
+
+    A call passes a parameter by keyword or by position; a starred argument
+    passes every position from its own on, and ``**`` every keyword.  Calls
+    match by function name (``f(...)`` and ``obj.f(...)`` alike, and a class
+    name calls its ``__init__``).  A method's first parameter is its
+    receiver.  Results read ``function.param``, ``Class.method.param`` or,
+    for ``__init__``, ``Class.param``.
+    """
+    trees = [ast.parse(path.read_text()) for path in Path(package_dir).glob("*.py")]
+    calls = {}  # callee name -> (positions passed, keywords passed) of each call
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (math.inf if starred else len(node.args), {k.arg for k in node.keywords})
+                )
+
+    def passed(callee, position, param):
+        return any(
+            (position is not None and position < reach) or param in keywords or None in keywords
+            for reach, keywords in calls.get(callee, ())
+        )
+
+    unpassed = set()
+    for tree in trees:
+        owners = {
+            id(stmt): node.name
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for stmt in node.body
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = owners.get(id(fn))
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            callee = label = fn.name
+            if owner is not None:
+                positional = positional[1:]
+                callee = owner if fn.name == "__init__" else fn.name
+                label = owner if fn.name == "__init__" else f"{owner}.{fn.name}"
+            first = len(positional) - len(fn.args.defaults)
+            defaults = [(i, p) for i, p in enumerate(positional) if i >= first]
+            defaults += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                         if d is not None]
+            unpassed.update(f"{label}.{p}" for i, p in defaults if not passed(callee, i, p))
+    return sorted(unpassed - EXEMPT_PARAMS)
+
+
+def test_every_default_is_passed_in_the_package():
+    assert unpassed_defaults(PACKAGE) == []
+
+
+def test_scan_flags_a_default_nothing_passes(tmp_path):
+    (tmp_path / "ops.py").write_text(
+        "def scale(x, factor=2.0, *, clip=None, dead=0):\n    return x\n\n"
+        "def norm(x, w, b=None, eps=1e-5):\n    return x\n\n"
+        "def spread(a=1, b=2):\n    pass\n\n"
+        "def main(argv=None):\n    pass\n\n"
+        "class Store:\n"
+        "    def __init__(self, seed=0, spare=1):\n        pass\n\n"
+        "    def conv(self, name, bias=0.0):\n        pass\n"
+    )
+    (tmp_path / "user.py").write_text(
+        "from .ops import Store, norm, scale, spread\n\n"
+        "def run(x, pair, opts):\n"
+        "    store = Store(3)\n"
+        "    store.conv('a')\n"
+        "    norm(x, *pair)\n"
+        "    spread(**opts)\n"
+        "    return scale(x, clip=1.0)\n"
+    )
+    assert unpassed_defaults(tmp_path) == [
+        "Store.conv.bias", "Store.spare", "scale.dead", "scale.factor"
+    ]
 
 
 def third_party_imports(package_dir):

@@ -446,6 +446,11 @@ class TestRearrange:
         with pytest.raises(DimensionError):
             concat([a, Tensor(np.zeros((1, 5, 3, 4), dtype=np.float32))], axis=1)
 
+    def test_concat_axis_out_of_range(self):
+        a = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
+        with pytest.raises(DimensionError, match="disagree off axis 4"):
+            concat([a, a], axis=4)
+
     def test_reshape_permute_roundtrip(self):
         x = Tensor(np.random.default_rng(9).random((2, 3, 4, 5)).astype(np.float32))
         y = permute(reshape(x, (2, 3, 20)), (0, 2, 1))

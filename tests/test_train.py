@@ -48,7 +48,7 @@ class TestLoss:
         gt = np.ones((1, 1, 2, 2), dtype=np.float64)
         pred = Tensor(np.full_like(gt, 0.5))
         # soft dice = (2*2 + 1) / (2 + 4 + 1) = 5/7
-        dice_only = tr.loss(pred, gt, w_bce=0.0, w_dice=1.0, eps=1.0).item()
+        dice_only = tr.loss(pred, gt, w_bce=0.0, w_dice=1.0).item()
         assert abs(dice_only - (1 - 5 / 7)) < 1e-6  # float32 session precision
 
     def test_gradient_matches_finite_differences(self):
