@@ -1,14 +1,7 @@
 """Encoder-decoder segmentation network with attention-fused skips,
 built on a small reverse-mode autodiff tensor engine."""
 
-from .engine import (
-    BatchNormState,
-    ParamStore,
-    Tensor,
-    backward,
-    dtype_session,
-    finite_diff_check,
-)
+from .engine import BatchNormState, ParamStore, Tensor, backward, dtype_session
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -20,7 +13,8 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .model import ModelConfig, ModelParams, build_model, model_forward, param_count
+from .gradcheck import finite_diff_check
+from .model import ModelConfig, ModelParams, build_model, model_forward
 
 # The train() loop is exported as train_model: re-exporting it under its
 # own name would shadow the `fmbff.train` submodule attribute.
@@ -47,7 +41,6 @@ __all__ = [
     "ModelParams",
     "build_model",
     "model_forward",
-    "param_count",
     "TrainConfig",
     "TrainState",
     "load_checkpoint",

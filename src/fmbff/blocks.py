@@ -99,11 +99,11 @@ class FmcabParams:
             branch_conv3=store.conv(f"{p}.branch_conv3", c, c, 3, 3),
             branch_ln=store.norm(f"{p}.branch_ln", c),
             branch_conv1=store.conv(f"{p}.branch_conv1", c, c, 1, 1),
-            gamma=store.scalar(f"{p}.gamma", 1.0),
+            gamma=store.full(f"{p}.gamma", (), 1.0),
             # GAP <= GMP per channel, so the gap/gmp difference is nonpositive;
             # a negative modulation factor keeps the gate's relu (and with it
             # alpha's own gradient) alive at initialization.
-            alpha=store.scalar(f"{p}.alpha", -1.0),
+            alpha=store.full(f"{p}.alpha", (), -1.0),
         )
 
 

@@ -218,7 +218,7 @@ def cmd_eval(args):
 
     folds = None
     if args.folds:
-        folds = data.kfold(list(pred_by_id), k=args.folds, seed=0).folds
+        folds = data.kfold(list(pred_by_id), k=args.folds).folds
     report = metrics.evaluate(
         pred_by_id, gt_by_id, folds=folds, include_precision=args.precision
     )

@@ -23,6 +23,7 @@ ROTATION_STEP = 30
 BRIGHTNESS_FACTORS = (1.0, 0.8, 1.2)
 TRAIN_FRACTION = 0.8  # share of the ids that `split` puts in the training set
 NOISE_PASSES = 3  # box-blur passes that smooth the synthetic background
+FOLD_SEED = 0  # seeds the shuffle behind `kfold`, so folds are fixed
 
 
 @dataclass
@@ -228,7 +229,7 @@ def split(ids, seed=0) -> SplitPlan:
     return SplitPlan(train_ids=order[:cut], val_ids=order[cut:])
 
 
-def kfold(ids, k=5, seed=0) -> SplitPlan:
+def kfold(ids, k=5) -> SplitPlan:
     ids = list(ids)
     if not ids:
         raise ConfigurationError("kfold over an empty id list")
@@ -236,7 +237,7 @@ def kfold(ids, k=5, seed=0) -> SplitPlan:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if k > len(ids):
         raise ConfigurationError(f"k={k} exceeds dataset size {len(ids)}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(FOLD_SEED)
     order = [ids[i] for i in rng.permutation(len(ids))]
     base, extra = divmod(len(order), k)
     folds = []

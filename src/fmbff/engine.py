@@ -22,10 +22,6 @@ from .errors import ConfigurationError, DimensionError, StateError, UsageError
 
 _DEFAULT_DTYPE = np.float32
 NORM_EPS = 1e-5  # variance offset of both normalizations
-# Central-difference step, and the magnitude floor of the relative error that
-# keeps roundoff on (near-)zero gradients from reading as a disagreement.
-FD_STEP = 1e-5
-FD_FLOOR = 1e-3
 
 
 @contextmanager
@@ -415,7 +411,7 @@ def _conv_dense(x, w, sh, sw, ph, pw, ho, wo):
 
 def dws_conv3x3(x, dw_weight, dw_bias, pw_weight, pw_bias):
     """Depthwise 3x3 (pad 1) followed by pointwise 1x1 convolution."""
-    mid = conv2d(x, dw_weight, dw_bias, stride=1, pad=1, groups=x.shape[1])
+    mid = conv2d(x, dw_weight, dw_bias, pad=1, groups=x.shape[1])
     return conv2d(mid, pw_weight, pw_bias)
 
 
@@ -807,9 +803,6 @@ class ParamStore:
     def full(self, name, shape, value):
         return self.add(name, np.full(shape, value, dtype=_DEFAULT_DTYPE))
 
-    def scalar(self, name, value):
-        return self.add(name, np.asarray(float(value), dtype=_DEFAULT_DTYPE))
-
     def matrix(self, name, rows, cols, scale):
         data = self._rng.uniform(-scale, scale, size=(rows, cols))
         return self.add(name, data.astype(_DEFAULT_DTYPE))
@@ -845,45 +838,3 @@ class ParamStore:
                     f"parameter {name!r} shape {arr.shape} != {t.data.shape}"
                 )
             t.data = arr.astype(t.data.dtype)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-
-def finite_diff_check(f, x):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` must map ``x`` to a scalar Tensor and be deterministic (run dropout
-    in eval mode); determinism is verified by evaluating twice.  ``x`` must be
-    a leaf, since ``backward`` keeps gradients on leaves only; its data may be
-    any strided array and is perturbed in place, one element at a time.
-    """
-    if not isinstance(x, Tensor) or not x.is_leaf():
-        raise UsageError("finite_diff_check requires a leaf Tensor x")
-    y = f(x)
-    y2 = f(x)
-    if not isinstance(y, Tensor) or y.size != 1:
-        raise UsageError("f must return a scalar Tensor")
-    if float(y.data.reshape(())) != float(y2.data.reshape(())):
-        raise UsageError("f is not deterministic; finite differences are invalid")
-
-    x.grad = None
-    if not y.is_leaf():
-        backward(y)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-    numeric = np.zeros_like(x.data)
-    for i in np.ndindex(x.shape):
-        orig = x.data[i]
-        x.data[i] = orig + FD_STEP
-        fp = float(f(x).data.reshape(()))
-        x.data[i] = orig - FD_STEP
-        fm = float(f(x).data.reshape(()))
-        x.data[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * FD_STEP)
-
-    rel = np.abs(analytic - numeric) / np.maximum(
-        np.abs(analytic) + np.abs(numeric), FD_FLOOR
-    )
-    return float(rel.max()) if rel.size else 0.0

@@ -3,6 +3,7 @@
 Block suites perturb every coordinate of every parameter (shapes are tiny,
 at most (1, 4, 6, 6)).  The full-model suite uses one random-direction
 probe per parameter tensor so it stays inside a desk-scale time budget.
+Both take their central differences from ``_fd_errors``.
 """
 
 from __future__ import annotations
@@ -10,17 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import blocks
-from .engine import (
-    FD_FLOOR,
-    FD_STEP,
-    ParamStore,
-    Tensor,
-    backward,
-    dtype_session,
-    finite_diff_check,
-    mul,
-    sum_,
-)
+from .engine import ParamStore, Tensor, backward, dtype_session, mul, sum_
 from .errors import UsageError
 from .model import ModelConfig, build_model, model_forward
 
@@ -28,6 +19,60 @@ BLOCK_NAMES = ("fmcab", "biffm", "vitm", "frm", "model")
 
 BLOCK_TOLERANCE = 1e-5
 MODEL_TOLERANCE = 1e-4
+# Central-difference step, and the magnitude floor of the relative error that
+# keeps roundoff on (near-)zero gradients from reading as a disagreement.
+FD_STEP = 1e-5
+FD_FLOOR = 1e-3
+
+
+def _fd_errors(f, t, grad, directions):
+    """Relative error between ``grad`` and the central difference of ``f()``
+    along each direction.  ``t.data`` is replaced by each perturbed copy in
+    turn, and the original array is put back afterwards."""
+    orig = t.data
+    errors = []
+    try:
+        for d in directions:
+            t.data = orig + FD_STEP * d
+            fp = float(f().data.reshape(()))
+            t.data = orig - FD_STEP * d
+            fm = float(f().data.reshape(()))
+            numeric = (fp - fm) / (2.0 * FD_STEP)
+            analytic = float((grad * d).sum())
+            errors.append(
+                abs(analytic - numeric) / max(abs(analytic) + abs(numeric), FD_FLOOR)
+            )
+    finally:
+        t.data = orig
+    return errors
+
+
+def finite_diff_check(f, x):
+    """Max relative error between analytic and central-difference gradients.
+
+    ``f`` must map ``x`` to a scalar Tensor and be deterministic (run dropout
+    in eval mode); determinism is verified by evaluating twice.  ``x`` must be
+    a leaf, since ``backward`` keeps gradients on leaves only; its data may be
+    any strided array.  Each coordinate is perturbed in a copy, and the
+    original array is put back.
+    """
+    if not isinstance(x, Tensor) or not x.is_leaf():
+        raise UsageError("finite_diff_check requires a leaf Tensor x")
+    y = f(x)
+    y2 = f(x)
+    if not isinstance(y, Tensor) or y.size != 1:
+        raise UsageError("f must return a scalar Tensor")
+    if float(y.data.reshape(())) != float(y2.data.reshape(())):
+        raise UsageError("f is not deterministic; finite differences are invalid")
+
+    x.grad = None
+    if not y.is_leaf():
+        backward(y)
+    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
+
+    basis = (np.eye(1, x.size, k, dtype=x.data.dtype).reshape(x.shape) for k in range(x.size))
+    errors = _fd_errors(lambda: f(x), x, analytic, basis)
+    return float(np.max(errors)) if errors else 0.0
 
 
 def _scalarize(out):
@@ -55,17 +100,7 @@ def _directional_errors(f, named_tensors):
         norm = np.linalg.norm(d)
         if norm > 0:
             d /= norm
-        orig = t.data.copy()
-        t.data = orig + FD_STEP * d
-        fp = float(f().data.reshape(()))
-        t.data = orig - FD_STEP * d
-        fm = float(f().data.reshape(()))
-        t.data = orig
-        numeric = (fp - fm) / (2.0 * FD_STEP)
-        analytic = float((grads[name] * d).sum())
-        errors.append(
-            (name, abs(analytic - numeric) / max(abs(analytic) + abs(numeric), FD_FLOOR))
-        )
+        errors.append((name, _fd_errors(f, t, grads[name], [d])[0]))
     return errors
 
 

@@ -28,6 +28,9 @@ from .engine import (
 )
 from .errors import ConfigurationError, DimensionError
 
+# Where decoder block i takes its skip from; a checkpoint stores the index.
+SKIP_MODES = ("literal_s4", "stage_matched")
+
 
 @dataclass
 class ModelConfig:
@@ -73,7 +76,7 @@ class ModelConfig:
                 raise ConfigurationError(
                     f"shuffle_groups: {self.shuffle_groups} does not divide {2 * wd}"
                 )
-        if self.skip_mode not in ("literal_s4", "stage_matched"):
+        if self.skip_mode not in SKIP_MODES:
             raise ConfigurationError(f"skip_mode: unknown value {self.skip_mode!r}")
         if not (math.isfinite(self.p_exponent) and self.p_exponent > 0):
             raise ConfigurationError(f"p_exponent: must be finite and > 0, got {self.p_exponent}")
@@ -266,7 +269,3 @@ def predict_probs(params, images, batch_size):
         else bilinear_resize(Tensor(prob[None]), *image.shape[1:]).data[0]
         for image, prob in zip(images, probs)
     ]
-
-
-def param_count(params: ModelParams) -> int:
-    return params.store.param_count()

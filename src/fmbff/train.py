@@ -25,7 +25,14 @@ from .errors import (
     TrainingDiverged,
     UsageError,
 )
-from .model import ModelConfig, ModelParams, build_model, model_forward, predict_probs
+from .model import (
+    SKIP_MODES,
+    ModelConfig,
+    ModelParams,
+    build_model,
+    model_forward,
+    predict_probs,
+)
 
 _U64 = (1 << 64) - 1
 # Adam's decay rates and denominator offset, and the soft-Dice smoothing.
@@ -172,7 +179,8 @@ def _train_step(params, state, x, y, cfg, epoch):
     before the next step builds another.
     """
     trace = model_forward(Tensor(x), params, mode="train", rng=state.rng)
-    batch_loss = loss(trace.f_out, y, *cfg.loss_weights)
+    w_bce, w_dice = cfg.loss_weights
+    batch_loss = loss(trace.f_out, y, w_bce, w_dice)
     value = batch_loss.item()
     if not math.isfinite(value):
         raise TrainingDiverged(
@@ -254,7 +262,6 @@ def history_csv(history):
 _MAGIC = b"FMBF"
 _VERSION = 1
 _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_SKIP_MODES = ("literal_s4", "stage_matched")  # config/skip_mode holds the index
 
 
 def _scalar(v):
@@ -298,7 +305,7 @@ def _config_entries(cfg: ModelConfig):
         ("config/fmcab_reduction", _scalar(cfg.fmcab_reduction)),
         ("config/p_exponent", _scalar(cfg.p_exponent)),
         ("config/shuffle_groups", _scalar(cfg.shuffle_groups)),
-        ("config/skip_mode", _scalar(_SKIP_MODES.index(cfg.skip_mode))),
+        ("config/skip_mode", _scalar(SKIP_MODES.index(cfg.skip_mode))),
         ("config/seed", _scalar(cfg.seed)),
     ]
     return entries
@@ -307,7 +314,7 @@ def _config_entries(cfg: ModelConfig):
 def _config_from_entries(entries):
     whole = entries.whole
     skip_mode = whole("config/skip_mode", ())
-    if skip_mode not in range(len(_SKIP_MODES)):
+    if skip_mode not in range(len(SKIP_MODES)):
         raise entries.bad("config/skip_mode", f"must be 0 or 1, got {skip_mode}")
     return ModelConfig(
         in_channels=whole("config/in_channels", ()),
@@ -318,7 +325,7 @@ def _config_from_entries(entries):
         fmcab_reduction=whole("config/fmcab_reduction", ()),
         p_exponent=float(entries.shaped("config/p_exponent", ())),
         shuffle_groups=whole("config/shuffle_groups", ()),
-        skip_mode=_SKIP_MODES[skip_mode],
+        skip_mode=SKIP_MODES[skip_mode],
         seed=whole("config/seed", ()),
     )
 
@@ -360,23 +367,21 @@ def save_checkpoint(path, params: ModelParams, state: TrainState | None = None):
                 entries.append((f"adam/m/{name}", state.adam_m[name]))
                 entries.append((f"adam/v/{name}", state.adam_v[name]))
 
+    tags = {dtype.type: tag for tag, dtype in _DTYPE_TAGS.items()}
     buf = bytearray()
     buf += _MAGIC
     buf += struct.pack("<HI", _VERSION, len(entries))
     for name, arr in entries:
         arr = np.asarray(arr)
-        if arr.dtype == np.float32:
-            tag, payload = 0, arr.astype("<f4", copy=False)
-        elif arr.dtype == np.float64:
-            tag, payload = 1, arr.astype("<f8", copy=False)
-        else:
+        if arr.dtype.type not in tags:
             raise UsageError(f"entry {name!r} has unsupported dtype {arr.dtype}")
+        tag = tags[arr.dtype.type]
         nb = name.encode("utf-8")
         buf += struct.pack("<H", len(nb))
         buf += nb
         buf += struct.pack("<BB", tag, arr.ndim)
         buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        buf += payload.tobytes()
+        buf += arr.astype(_DTYPE_TAGS[tag], copy=False).tobytes()
     buf += struct.pack("<I", zlib.crc32(bytes(buf)) & 0xFFFFFFFF)
     with open(path, "wb") as fh:
         fh.write(bytes(buf))
@@ -436,8 +441,15 @@ def read_checkpoint_entries(path):
     for _ in range(count):
         raw, offset = _read_exact(body, offset, 2, path)
         (nlen,) = struct.unpack("<H", raw)
+        name_at = offset
         raw, offset = _read_exact(body, offset, nlen, path)
-        name = raw.decode("utf-8")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            name = None
+        if name is None or name in entries:
+            problem = "is not UTF-8" if name is None else f"{name!r} is repeated"
+            raise FormatError(f"{path}: entry name {problem} (byte offset {name_at})")
         raw, offset = _read_exact(body, offset, 2, path)
         tag, rank = struct.unpack("<BB", raw)
         if tag not in _DTYPE_TAGS:
@@ -445,7 +457,7 @@ def read_checkpoint_entries(path):
         raw, offset = _read_exact(body, offset, 4 * rank, path)
         shape = struct.unpack(f"<{rank}I", raw)
         dtype = _DTYPE_TAGS[tag]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         raw, offset = _read_exact(body, offset, nbytes, path)
         entries[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if offset != len(body):

@@ -263,7 +263,7 @@ def test_criterion_5_protocol(acceptance_report):
     augment_ok = len(expanded) == 36 and len({e.id for e in expanded}) == 36
 
     ids = [f"s{i}" for i in range(103)]
-    plan = data.kfold(ids, k=5, seed=0)
+    plan = data.kfold(ids, k=5)
     sizes = sorted(len(f) for f in plan.folds)
     kfold_ok = sizes == [20, 20, 21, 21, 21] and sorted(
         i for f in plan.folds for i in f

@@ -2,6 +2,8 @@ import dataclasses
 import importlib
 import json
 import os
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +342,25 @@ class TestEvalPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "synth0001_mask.pgm" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("old,new,problem", [
+        (b"config/in_channels", b"config/in_channel\xff", "entry name is not UTF-8"),
+        (b"config/input_w", b"config/input_h", "entry name 'config/input_h' is repeated"),
+    ], ids=["not_utf8", "repeated"])
+    def test_bad_entry_name_exits_3(self, tmp_path, capsys, old, new, problem):
+        ckpt = tiny_checkpoint(tmp_path)
+        blob = ckpt.read_bytes()
+        name_at = blob.index(old)
+        body = blob[:-4].replace(old, new)
+        ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        img_path = tmp_path / "probe.ppm"
+        data.write_image(img_path, data.generate_synthetic(1, size=(16, 16), seed=1)[0].image)
+        capsys.readouterr()
+        assert cli.main(["predict", "--image", str(img_path), "--ckpt", str(ckpt),
+                         "--out", str(tmp_path / "pred")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert problem in err and f"(byte offset {name_at})" in err, err
 
     def test_corrupt_checkpoint_exits_3(self, tmp_path):
         ckpt = tiny_checkpoint(tmp_path)

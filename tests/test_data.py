@@ -95,7 +95,7 @@ class TestSplits:
 
     def test_kfold_103(self):
         ids = [f"s{i}" for i in range(103)]
-        plan = data.kfold(ids, k=5, seed=0)
+        plan = data.kfold(ids, k=5)
         sizes = sorted(len(f) for f in plan.folds)
         assert sizes == [20, 20, 21, 21, 21]
         combined = [i for f in plan.folds for i in f]

@@ -8,7 +8,6 @@ from fmbff.model import (
     build_model,
     encoder_forward,
     model_forward,
-    param_count,
     predict_probs,
 )
 
@@ -169,12 +168,13 @@ class TestPredictProbs:
 class TestParamCount:
     def test_matches_store(self):
         params = build_model(tiny_config())
-        assert param_count(params) == sum(t.size for _, t in params.store.items())
+        assert params.store.param_count() == sum(t.size for _, t in params.store.items())
 
     def test_monotone_in_widths(self):
         small = build_model(tiny_config())
         large = build_model(tiny_config(encoder_widths=(8, 8, 8, 8)))
-        assert param_count(large) > param_count(small)
+        assert large.store.param_count() > small.store.param_count()
 
     def test_deterministic(self):
-        assert param_count(build_model(tiny_config())) == param_count(build_model(tiny_config()))
+        assert (build_model(tiny_config()).store.param_count()
+                == build_model(tiny_config()).store.param_count())

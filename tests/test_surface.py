@@ -5,7 +5,6 @@ call in the package; the declared dependencies are exactly the third-party
 modules the package imports."""
 
 import ast
-import math
 import os
 import re
 import subprocess
@@ -136,6 +135,8 @@ EXEMPT_PARAMS = {
     "train.stop_at_metric",  # acceptance criterion 6
     "train.log_fn",  # tests/test_train.py
     "main.argv",  # the console script
+    "conv2d.stride",  # acceptance criterion 3 and tests/test_tensor.py
+    "layer_norm.eps",  # tests/test_tensor.py
 }
 
 
@@ -143,26 +144,38 @@ def unpassed_defaults(package_dir):
     """Defaulted parameters that no call in ``package_dir`` passes.
 
     A call passes a parameter by keyword or by position; a starred argument
-    passes every position from its own on, and ``**`` every keyword.  Calls
-    match by function name (``f(...)`` and ``obj.f(...)`` alike, and a class
-    name calls its ``__init__``).  A method's first parameter is its
-    receiver.  Results read ``function.param``, ``Class.method.param`` or,
-    for ``__init__``, ``Class.param``.
+    passes no position from its own on, since its length is unknown, and
+    ``**`` passes every keyword.  A keyword whose value is the parameter's
+    own literal default (``stride=1``) does not count.  Calls match by
+    function name (``f(...)`` and ``obj.f(...)`` alike, and a class name
+    calls its ``__init__``).  A method's first parameter is its receiver.
+    Results read ``function.param``, ``Class.method.param`` or, for
+    ``__init__``, ``Class.param``.
     """
+    def literal(node):
+        """The value of a literal; anything else reads as a new object, which
+        equals no other value."""
+        try:
+            return ast.literal_eval(node)
+        except (TypeError, ValueError):
+            return object()
+
     trees = [ast.parse(path.read_text()) for path in Path(package_dir).glob("*.py")]
-    calls = {}  # callee name -> (positions passed, keywords passed) of each call
+    calls = {}  # callee name -> (positions passed, {keyword: literal value}) of each call
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                reach = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)),
+                             len(node.args))
                 calls.setdefault(name, []).append(
-                    (math.inf if starred else len(node.args), {k.arg for k in node.keywords})
+                    (reach, {k.arg: literal(k.value) for k in node.keywords})
                 )
 
-    def passed(callee, position, param):
+    def passed(callee, position, param, default):
         return any(
-            (position is not None and position < reach) or param in keywords or None in keywords
+            (position is not None and position < reach) or None in keywords
+            or (param in keywords and keywords[param] != default)
             for reach, keywords in calls.get(callee, ())
         )
 
@@ -184,10 +197,12 @@ def unpassed_defaults(package_dir):
                 callee = owner if fn.name == "__init__" else fn.name
                 label = owner if fn.name == "__init__" else f"{owner}.{fn.name}"
             first = len(positional) - len(fn.args.defaults)
-            defaults = [(i, p) for i, p in enumerate(positional) if i >= first]
-            defaults += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-                         if d is not None]
-            unpassed.update(f"{label}.{p}" for i, p in defaults if not passed(callee, i, p))
+            defaults = [(first + i, positional[first + i], literal(d))
+                        for i, d in enumerate(fn.args.defaults)]
+            defaults += [(None, a.arg, literal(d)) for a, d in
+                         zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            unpassed.update(f"{label}.{p}" for i, p, d in defaults
+                            if not passed(callee, i, p, d))
     return sorted(unpassed - EXEMPT_PARAMS)
 
 
@@ -212,10 +227,10 @@ def test_scan_flags_a_default_nothing_passes(tmp_path):
         "    store.conv('a')\n"
         "    norm(x, *pair)\n"
         "    spread(**opts)\n"
-        "    return scale(x, clip=1.0)\n"
+        "    return scale(x, clip=1.0, dead=0)\n"
     )
     assert unpassed_defaults(tmp_path) == [
-        "Store.conv.bias", "Store.spare", "scale.dead", "scale.factor"
+        "Store.conv.bias", "Store.spare", "norm.b", "norm.eps", "scale.dead", "scale.factor"
     ]
 
 

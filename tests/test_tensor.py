@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fmbff.engine import (
+    _accumulate,
     _erf,
     BatchNormState,
     ParamStore,
@@ -20,7 +21,6 @@ from fmbff.engine import (
     dropout,
     dtype_session,
     dws_conv3x3,
-    finite_diff_check,
     gelu,
     global_max_pool,
     layer_norm,
@@ -42,6 +42,7 @@ from fmbff.errors import (
     StateError,
     UsageError,
 )
+from fmbff.gradcheck import _directional_errors, finite_diff_check
 
 
 def gap(x):
@@ -583,6 +584,20 @@ class TestFiniteDiff:
             rng = np.random.default_rng(0)
             with pytest.raises(UsageError):
                 finite_diff_check(lambda t: sum_(mul(t, float(rng.random()))), x)
+
+    def test_wrong_gradient_caught(self):
+        """A backward that drops its factor 2 gives analytic 1 against numeric 2,
+        a relative error of 1/3, on the per-coordinate and directional paths."""
+        def f(t):
+            return sum_(Tensor._from_op(t.data * 2, (t,), lambda g: _accumulate(t, g)))
+
+        with dtype_session(np.float64):
+            x = Tensor(np.random.default_rng(17).standard_normal((2, 3)))
+            data, before = x.data, x.data.tobytes()
+            assert finite_diff_check(f, x) == pytest.approx(1 / 3, rel=1e-6)
+            [(name, err)] = _directional_errors(lambda: f(x), [("x", x)])
+            assert name == "x" and err == pytest.approx(1 / 3, rel=1e-6)
+            assert x.data is data and x.data.tobytes() == before
 
 
 @pytest.mark.parametrize(

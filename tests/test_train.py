@@ -11,8 +11,9 @@ import pytest
 tr = importlib.import_module("fmbff.train")
 from fmbff import cli
 from fmbff.data import generate_synthetic, write_image
-from fmbff.engine import ParamStore, Tensor, backward, dtype_session, finite_diff_check
+from fmbff.engine import ParamStore, Tensor, backward, dtype_session
 from fmbff.errors import FormatError, ParseError, UsageError
+from fmbff.gradcheck import finite_diff_check
 from fmbff.model import ModelConfig, build_model, model_forward
 
 
@@ -461,6 +462,14 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(_seal(blob[:-4] + b"\x00\x01\x02"))
         with pytest.raises(FormatError, match=rf"3 stray bytes .*byte offset {len(blob) - 4}\)"):
+            tr.read_checkpoint_entries(path)
+
+    def test_shape_past_int64_reads_as_truncated(self, tmp_path):
+        # 65536**4 elements: the product wraps to 0 in int64
+        path = tmp_path / "huge.fmbf"
+        entry = struct.pack("<H", 1) + b"x" + struct.pack("<BB4I", 1, 4, *(65536,) * 4)
+        path.write_bytes(_seal(b"FMBF" + struct.pack("<HI", 1, 1) + entry))
+        with pytest.raises(ParseError, match="truncated"):
             tr.read_checkpoint_entries(path)
 
     def test_truncated_reports_offset(self, tmp_path):
