@@ -257,17 +257,10 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     """2-D convolution (cross-correlation) with zero padding.
 
     ``groups`` is 1 (dense) or ``Cin == Cout`` (depthwise); other grouped
-    convs raise ``ConfigurationError``.  Each kernel class has one lowering,
-    none of which builds a full im2col buffer:
-
-    * 1x1 (stride 1, no padding, one group): a single batched GEMM of the
-      ``(Cout, Cin)`` weight against the ``(N, Cin, H*W)`` view of ``x``.
-    * depthwise (``groups == Cin == Cout``, any kernel, stride or padding):
-      one banded GEMM per kernel row, where each input row is multiplied by a
-      ``(W, Wo)`` band that holds the row's taps at their column offsets and
-      absorbs the column padding and stride.
-    * dense k x k: a tap-wise accumulation of channel GEMMs over a
-      zero-padded copy of ``x``.
+    convs raise ``ConfigurationError``.  Two lowerings serve every kernel,
+    stride and padding, and neither builds a full im2col buffer: a dense conv
+    is one batched GEMM per kernel tap (``_conv_gemm``), a depthwise conv one
+    banded GEMM per kernel row (``_conv_depthwise``).
     """
     if x.ndim != 4:
         raise DimensionError(f"conv2d input must be 4-D, got shape {x.shape}")
@@ -296,12 +289,8 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
         )
 
     # Each lowering returns its output and a function g -> (dx, dw).
-    if (kh, kw, sh, sw, ph, pw, groups) == (1, 1, 1, 1, 0, 0, 1):
-        out, grads = _conv1x1(x.data, w.data)
-    elif groups == cin == cout:
-        out, grads = _conv_depthwise(x.data, w.data, sh, sw, ph, pw, ho, wo)
-    else:
-        out, grads = _conv_dense(x.data, w.data, sh, sw, ph, pw, ho, wo)
+    lowering = _conv_gemm if groups == 1 else _conv_depthwise
+    out, grads = lowering(x.data, w.data, sh, sw, ph, pw, ho, wo)
     if b is not None:
         out += b.data[None, :, None, None]
 
@@ -314,23 +303,6 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor._from_op(out, parents, back)
-
-
-def _conv1x1(x, w):
-    """1x1 conv as one batched GEMM ``w2 @ x3`` over the flattened pixels."""
-    n, cin, h, wd = x.shape
-    cout = w.shape[0]
-    x3 = x.reshape(n, cin, h * wd)
-    w2 = w.reshape(cout, cin)
-    out = np.matmul(w2, x3).reshape(n, cout, h, wd)
-
-    def grads(g):
-        g3 = g.reshape(n, cout, h * wd)
-        dx = np.matmul(w2.T, g3).reshape(x.shape)
-        dw = np.matmul(g3, x3.swapaxes(1, 2)).sum(axis=0).reshape(w.shape)
-        return dx, dw
-
-    return out, grads
 
 
 def _conv_depthwise(x, w, sh, sw, ph, pw, ho, wo):
@@ -386,25 +358,51 @@ def _conv_depthwise(x, w, sh, sw, ph, pw, ho, wo):
     return out, grads
 
 
-def _conv_dense(x, w, sh, sw, ph, pw, ho, wo):
-    """Dense conv as a tap-wise accumulation of channel GEMMs."""
-    n, _, h, wd = x.shape
-    kh, kw = w.shape[2:]
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = [(i, j, np.s_[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw])
-               for i in range(kh) for j in range(kw)]
-    acc = np.zeros((n, ho, wo, w.shape[0]), dtype=x.dtype)
-    for i, j, win in windows:
-        acc += np.tensordot(xp[win], w[:, :, i, j], axes=([1], [1]))
-    out = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+def _conv_gemm(x, w, sh, sw, ph, pw, ho, wo):
+    """Dense conv as one batched GEMM per kernel tap (implicit GEMM).
+
+    ``x`` is padded once into ``flat``, ``(N, Cin, Hp*Wp + kw - 1)``.  On the
+    stride-1 grid ``(N, Cout, Ho1*Wp)``, tap ``t = (i, j)`` reads the slice of
+    ``flat`` that starts at ``i*Wp + j``, so each tap is ``w_ij @ slice`` on a
+    view.  The grid's columns that straddle the padding, and what a stride
+    skips, are computed and dropped.  A 1x1 conv with no padding is a single
+    GEMM on a view of ``x``.
+    """
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    hp, wp = h + 2 * ph, wd + 2 * pw
+    span = (hp - kh + 1) * wp
+    view = kh == kw == 1 and ph == pw == 0
+    if view:
+        flat = x.reshape(n, cin, span)
+    else:
+        flat = np.zeros((n, cin, hp * wp + kw - 1), dtype=x.dtype)
+        flat[:, :, : hp * wp].reshape(n, cin, hp, wp)[:, :, ph : ph + h, pw : pw + wd] = x
+    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw, cout, cin)
+    grid = np.matmul(taps[0], flat[:, :, :span])
+    for t in range(1, kh * kw):
+        s = t // kw * wp + t % kw
+        grid += np.matmul(taps[t], flat[:, :, s : s + span])
+    exact = span == ho * wo  # the grid holds only output pixels
+    out = grid.reshape(n, cout, ho, wo) if exact else np.ascontiguousarray(
+        grid.reshape(n, cout, -1, wp)[:, :, : ho * sh : sh, : wo * sw : sw])
 
     def grads(g):
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w)
-        for i, j, win in windows:
-            dw[:, :, i, j] = np.tensordot(g, xp[win], axes=([0, 2, 3], [0, 2, 3]))
-            dxp[win] += np.tensordot(g, w[:, :, i, j], axes=([1], [0])).transpose(0, 3, 1, 2)
-        return dxp[:, :, ph : ph + h, pw : pw + wd], dw
+        g1 = g.reshape(n, cout, span) if exact else np.zeros((n, cout, span), g.dtype)
+        if not exact:
+            g1.reshape(n, cout, -1, wp)[:, :, : ho * sh : sh, : wo * sw : sw] = g
+        dflat = np.matmul(taps[0].T, g1) if kh * kw == 1 else np.zeros_like(flat)
+        dw = np.empty((cout, cin, kh * kw), dtype=w.dtype)
+        for t in range(kh * kw):
+            s = t // kw * wp + t % kw
+            if kh * kw > 1:
+                dflat[:, :, s : s + span] += np.matmul(taps[t].T, g1)
+            dw[:, :, t] = np.matmul(g1, flat[:, :, s : s + span].swapaxes(1, 2)).sum(axis=0)
+        if view:
+            dx = dflat.reshape(x.shape)
+        else:
+            dx = dflat[:, :, : hp * wp].reshape(n, cin, hp, wp)[:, :, ph : ph + h, pw : pw + wd]
+        return dx, dw.reshape(w.shape)
 
     return out, grads
 

@@ -30,6 +30,8 @@ from .errors import ConfigurationError, DimensionError
 
 # Where decoder block i takes its skip from; a checkpoint stores the index.
 SKIP_MODES = ("literal_s4", "stage_matched")
+# Largest seed a checkpoint's float64 entry holds exactly.
+MAX_SEED = 2**53
 
 
 @dataclass
@@ -80,8 +82,8 @@ class ModelConfig:
             raise ConfigurationError(f"skip_mode: unknown value {self.skip_mode!r}")
         if not (math.isfinite(self.p_exponent) and self.p_exponent > 0):
             raise ConfigurationError(f"p_exponent: must be finite and > 0, got {self.p_exponent}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigurationError(f"seed: must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.seed, int) or not 0 <= self.seed <= MAX_SEED:
+            raise ConfigurationError(f"seed: must be an integer in 0..2**53, got {self.seed!r}")
 
     @property
     def bottleneck_size(self):

@@ -26,6 +26,7 @@ from .errors import (
     UsageError,
 )
 from .model import (
+    MAX_SEED,
     SKIP_MODES,
     ModelConfig,
     ModelParams,
@@ -72,8 +73,8 @@ class TrainConfig:
             )
         if self.plateau_patience < 1 or self.early_stop_patience < 1:
             raise ConfigurationError("patience values must be >= 1")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.seed, int) or not 0 <= self.seed <= MAX_SEED:
+            raise ConfigurationError(f"seed must be an integer in 0..2**53, got {self.seed!r}")
 
 
 @dataclass
@@ -262,6 +263,7 @@ def history_csv(history):
 _MAGIC = b"FMBF"
 _VERSION = 1
 _DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_MAX_RANK = 4  # conv weights and their Adam moments; the writer emits no higher rank
 
 
 def _scalar(v):
@@ -395,7 +397,8 @@ def _read_exact(blob, offset, count, path):
 
 class _Entries(dict):
     """Checkpoint entries by name.  Looking up a missing entry, or reading one
-    whose shape or value does not fit (``shaped``, ``whole``), is a format error."""
+    whose shape or value does not fit (``shaped``, ``finite``, ``whole``), is a
+    format error."""
 
     def __init__(self, path):
         super().__init__()
@@ -411,6 +414,15 @@ class _Entries(dict):
         arr = self[name]
         if arr.shape != shape:
             raise self.bad(name, f"has shape {arr.shape}, expected {shape}")
+        return arr
+
+    def finite(self, name, shape, floor):
+        """The entry, checked to hold only finite values no lower than ``floor``."""
+        arr = self.shaped(name, shape)
+        if not np.all(np.isfinite(arr)):
+            raise self.bad(name, "holds a non-finite value")
+        if np.any(arr < floor):
+            raise self.bad(name, f"holds a value below {floor}")
         return arr
 
     def whole(self, name, shape):
@@ -454,6 +466,11 @@ def read_checkpoint_entries(path):
         tag, rank = struct.unpack("<BB", raw)
         if tag not in _DTYPE_TAGS:
             raise FormatError(f"{path}: unknown dtype tag {tag} for {name!r}")
+        if rank > _MAX_RANK:
+            raise FormatError(
+                f"{path}: entry {name!r} has rank {rank}, above {_MAX_RANK} "
+                f"(byte offset {offset - 1})"
+            )
         raw, offset = _read_exact(body, offset, 4 * rank, path)
         shape = struct.unpack(f"<{rank}I", raw)
         dtype = _DTYPE_TAGS[tag]
@@ -473,7 +490,7 @@ def load_checkpoint(path):
     entries = read_checkpoint_entries(path)
     params = build_model(_config_from_entries(entries))
     for name, arr in _model_entries(params):
-        entries.shaped(name, arr.shape)
+        entries.finite(name, arr.shape, 0.0 if name.endswith("/var") else -math.inf)
     for name in params.bn_states:
         entries.whole(f"bnstat/{name}/count", ())
     _load_model_entries(params, entries)
@@ -499,6 +516,6 @@ def load_checkpoint(path):
         for name, t in params.store.items():
             key = f"adam/m/{name}"
             if key in entries:
-                state.adam_m[name] = entries.shaped(key, t.shape)
-                state.adam_v[name] = entries.shaped(f"adam/v/{name}", t.shape)
+                state.adam_m[name] = entries.finite(key, t.shape, -math.inf)
+                state.adam_v[name] = entries.finite(f"adam/v/{name}", t.shape, 0.0)
     return params, state

@@ -192,6 +192,8 @@ class TestTrain:
         "model.p_exponent = inf",
         "train.seed = -1",
         "model.seed = -3",
+        "train.seed = 9007199254740993",  # 2**53 + 1 reads back from float64 as 2**53
+        "model.seed = 9007199254740993",
     ])
     def test_invalid_train_value_exits_2(self, tmp_path, capsys, line):
         ds = tmp_path / "ds"

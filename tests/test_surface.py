@@ -1,8 +1,8 @@
-"""Guard against dead surface: every public function of the package is used
-somewhere in the package itself, not only by tests; every dataclass field is
-read somewhere in the package; every defaulted parameter is passed by some
-call in the package; the declared dependencies are exactly the third-party
-modules the package imports."""
+"""Guard against dead surface: every module-level function of the package,
+public or private, is used somewhere in the package itself, not only by
+tests; every dataclass field is read somewhere in the package; every
+defaulted parameter is passed by some call in the package; the declared
+dependencies are exactly the third-party modules the package imports."""
 
 import ast
 import os
@@ -20,19 +20,21 @@ PACKAGE = Path(fmbff.__file__).parent
 EXEMPT = {"main"}
 
 
-def unused_public_functions(package_dir):
-    """Public module-level functions that no source in ``package_dir`` uses.
+def unused_functions(package_dir):
+    """Module-level functions, public or ``_private``, that no source in
+    ``package_dir`` uses.
 
     A name counts as used when it is loaded as a ``Name``, read as an
     attribute of a package-module alias (``blocks.fmcab_forward``), or
-    re-exported by the package's ``__init__.py``.
+    re-exported by the package's ``__init__.py``.  A lowering left behind
+    beside the one that replaced it shows up here.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in Path(package_dir).glob("*.py")}
-    public = {
+    defined = {
         (module, node.name)
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        if isinstance(node, ast.FunctionDef)
     }
     used = set()
     for module, tree in trees.items():
@@ -52,13 +54,13 @@ def unused_public_functions(package_dir):
                   and node.level > 0):
                 used.update(alias.name for alias in node.names)
     return sorted(
-        f"{module}.{name}" for module, name in public
+        f"{module}.{name}" for module, name in defined
         if name not in used and name not in EXEMPT
     )
 
 
 def test_every_public_function_is_used_in_the_package():
-    assert unused_public_functions(PACKAGE) == []
+    assert unused_functions(PACKAGE) == []
 
 
 def test_scan_flags_a_function_nothing_calls(tmp_path):
@@ -68,10 +70,12 @@ def test_scan_flags_a_function_nothing_calls(tmp_path):
         "def called():\n    pass\n\n"
         "def via_alias():\n    pass\n\n"
         "def dead():\n    return called()\n\n"
-        "def main():\n    pass\n"
+        "def _helper():\n    pass\n\n"
+        "def _old_helper():\n    pass\n\n"
+        "def main():\n    return _helper()\n"
     )
     (tmp_path / "user.py").write_text("from . import ops as o\n\nVALUE = o.via_alias\n")
-    assert unused_public_functions(tmp_path) == ["ops.dead"]
+    assert unused_functions(tmp_path) == ["ops._old_helper", "ops.dead"]
 
 
 def unread_dataclass_fields(package_dir):

@@ -126,13 +126,20 @@ def _naive_conv(x, w, b, stride, pad, groups):
     return out
 
 
-# (name, x shape, weight shape, stride, pad, groups); 1x1 and depthwise
-# cases cover both dedicated lowerings, including strided and over-padded
-# depthwise convs that the model itself never runs.
+# (name, x shape, weight shape, stride, pad, groups); dense and depthwise
+# cases cover both lowerings, including strided and over-padded convs that
+# the model itself never runs.
 KERNEL_CLASS_CASES = [
     ("1x1", (2, 3, 4, 5), (4, 3, 1, 1), (1, 1), (0, 0), 1),
     ("1x1_pooled", (2, 3, 1, 1), (4, 3, 1, 1), (1, 1), (0, 0), 1),
     ("1x1_permuted", "permuted", (4, 3, 1, 1), (1, 1), (0, 0), 1),
+    ("1x1_pad1", (2, 3, 4, 5), (4, 3, 1, 1), (1, 1), (1, 1), 1),
+    ("3x3_pad1", (2, 3, 5, 6), (4, 3, 3, 3), (1, 1), (1, 1), 1),
+    ("3x1_pooled", (2, 3, 1, 1), (3, 3, 3, 1), (1, 1), (1, 0), 1),
+    ("1x3_pooled", (2, 3, 1, 1), (3, 3, 1, 3), (1, 1), (0, 1), 1),
+    ("3x3_stride2", (2, 3, 7, 6), (4, 3, 3, 3), (2, 2), (1, 1), 1),
+    ("5x3_pad3", (1, 2, 4, 5), (3, 2, 5, 3), (1, 1), (3, 3), 1),
+    ("2x2_stride2x1", (2, 3, 5, 6), (4, 3, 2, 2), (2, 1), (0, 0), 1),
     ("dw_stride1", (2, 3, 5, 6), (3, 1, 3, 3), (1, 1), (1, 1), 3),
     ("dw_stride2", (2, 3, 5, 6), (3, 1, 3, 3), (2, 2), (1, 1), 3),
     ("dw_stride2x1", (2, 3, 5, 6), (3, 1, 3, 3), (2, 1), (1, 1), 3),
@@ -147,7 +154,7 @@ KERNEL_CLASS_CASES = [
     "name,xshape,wshape,stride,pad,groups", KERNEL_CLASS_CASES, ids=[c[0] for c in KERNEL_CLASS_CASES]
 )
 def test_conv_kernel_classes(name, xshape, wshape, stride, pad, groups):
-    """1x1 and depthwise lowerings match a float64 loop and finite differences."""
+    """Dense and depthwise lowerings match a float64 loop and finite differences."""
     rng = np.random.default_rng(len(name))
     with dtype_session(np.float64):
         if xshape == "permuted":
@@ -172,6 +179,27 @@ def test_conv_kernel_classes(name, xshape, wshape, stride, pad, groups):
                 y = conv2d(as_map(a["x"]), a["w"], a["b"], stride, pad, groups)
                 return sum_(mul(y, probe))
             assert finite_diff_check(f, leaf) < 1e-6, slot
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_1x1_is_one_gemm(dtype):
+    """A 1x1 conv's output and gradients are bytewise those of a single matmul
+    on a view of ``x``, and its forward makes no copy of ``x``."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3, 16, 16, 16)).astype(dtype)
+    w = rng.standard_normal((2, 16, 1, 1)).astype(dtype)
+    g = rng.standard_normal((3, 2, 16, 16)).astype(dtype)
+    xt, wt = Tensor(x, dtype), Tensor(w, dtype)
+    tracemalloc.start()
+    out = conv2d(xt, wt)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < x.nbytes // 2, peak
+    out._backward(g)
+    x3, w2, g3 = x.reshape(3, 16, 256), w.reshape(2, 16), g.reshape(3, 2, 256)
+    assert out.data.tobytes() == np.matmul(w2, x3).tobytes()
+    assert xt.grad.tobytes() == np.matmul(w2.T, g3).tobytes()
+    assert wt.grad.tobytes() == np.matmul(g3, x3.swapaxes(1, 2)).sum(axis=0).tobytes()
 
 
 class TestDwsConv:

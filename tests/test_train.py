@@ -339,6 +339,17 @@ MALFORMED_ENTRIES = [
     ("adam/m/head.w", np.zeros((2,), dtype=np.float32)),
 ]
 
+# One value of a well-shaped entry replaced by one the model cannot use.
+BAD_VALUES = [
+    ("param/head.w", np.nan),
+    ("param/enc1.conv1.w", -np.inf),
+    ("bnstat/enc1.bn1/mean", np.nan),
+    ("bnstat/enc1.bn1/var", np.inf),
+    ("bnstat/enc1.bn1/var", -1.0),
+    ("adam/m/head.w", np.nan),
+    ("adam/v/head.w", -1.0),
+]
+
 
 class TestCheckpoint:
     def _trained(self, tmp_path):
@@ -456,6 +467,50 @@ class TestCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,value", BAD_VALUES,
+                             ids=[f"{name}={value}" for name, value in BAD_VALUES])
+    def test_bad_value_exits_3(self, tmp_path, capsys, name, value):
+        _, _, path = self._trained(tmp_path)
+        entries = tr.read_checkpoint_entries(path)
+        entries[name].flat[0] = value
+        _write_entries(path, entries)
+        image = tmp_path / "probe.ppm"
+        write_image(image, generate_synthetic(1, size=(16, 16), seed=1)[0].image)
+        capsys.readouterr()
+        assert cli.main(["predict", "--image", str(image), "--ckpt", str(path),
+                         "--out", str(tmp_path / "pred")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"checkpoint entry '{name}' holds" in err and "Traceback" not in err
+        assert not (tmp_path / "pred" / "probe_prob.npy").exists()
+
+    def test_rank_above_four_exits_3(self, tmp_path, capsys):
+        # NumPy cannot build an array of rank 65; the format allows up to 255
+        _, _, path = self._trained(tmp_path)
+        body = bytearray(path.read_bytes()[:-4])
+        count = struct.unpack_from("<I", body, 6)[0]
+        struct.pack_into("<I", body, 6, count + 1)
+        rank_at = len(body) + 2 + len(b"extra") + 1
+        body += struct.pack("<H", 5) + b"extra" + struct.pack("<BB", 1, 65)
+        body += struct.pack("<65I", *(1,) * 65) + np.zeros(1).tobytes()
+        path.write_bytes(_seal(body))
+        image = tmp_path / "probe.ppm"
+        write_image(image, generate_synthetic(1, size=(16, 16), seed=1)[0].image)
+        capsys.readouterr()
+        assert cli.main(["predict", "--image", str(image), "--ckpt", str(path),
+                         "--out", str(tmp_path / "pred")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'extra' has rank 65" in err and f"(byte offset {rank_at})" in err, err
+
+    def test_largest_seed_round_trips(self, tmp_path):
+        # 2**53 is the largest seed the float64 config entry holds exactly
+        params = build_model(tiny_config(seed=2**53))
+        path = tmp_path / "c.fmbf"
+        tr.save_checkpoint(path, params)
+        loaded, _ = tr.load_checkpoint(path)
+        assert loaded.config.seed == 2**53
 
     def test_stray_bytes_before_crc(self, tmp_path):
         _, _, path = self._trained(tmp_path)
