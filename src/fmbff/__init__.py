@@ -1,7 +1,7 @@
 """Encoder-decoder segmentation network with attention-fused skips,
 built on a small reverse-mode autodiff tensor engine."""
 
-from .engine import BatchNormState, ParamStore, Tensor, backward, dtype_session
+from .engine import BatchNormState, ParamStore, Tensor, backward
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -26,7 +26,6 @@ __all__ = [
     "ParamStore",
     "Tensor",
     "backward",
-    "dtype_session",
     "finite_diff_check",
     "ConfigurationError",
     "DimensionError",

@@ -22,7 +22,6 @@ from . import data, gradcheck, metrics, train as train_mod
 from .errors import (
     ConfigurationError,
     DimensionError,
-    FormatError,
     ParseError,
     StateError,
     TrainingDiverged,
@@ -149,15 +148,6 @@ def write_manifest(out_dir, command, seed, config, outputs, checkpoint=None):
     return path
 
 
-def _config_snapshot(model_config, train_config=None):
-    snap = {"model": {k: list(v) if isinstance(v, tuple) else v
-                      for k, v in vars(model_config).items()}}
-    if train_config is not None:
-        snap["train"] = {k: list(v) if isinstance(v, tuple) else v
-                         for k, v in vars(train_config).items()}
-    return snap
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -200,7 +190,8 @@ def cmd_train(args):
         fh.write(train_mod.history_csv(history))
     write_manifest(
         args.out, "train", train_config.seed,
-        config=_config_snapshot(model_config, train_config),
+        config={"model": dataclasses.asdict(model_config),
+                "train": dataclasses.asdict(train_config)},
         checkpoint=ckpt_path,
         outputs=["ckpt.fmbf", "history.csv"],
     )
@@ -230,7 +221,7 @@ def cmd_eval(args):
         fh.write(metrics.to_csv(report))
     write_manifest(
         args.out, "eval", params.config.seed,
-        config=_config_snapshot(params.config),
+        config={"model": dataclasses.asdict(params.config)},
         checkpoint=args.ckpt,
         outputs=["report.txt", "report.csv"],
     )
@@ -250,7 +241,7 @@ def cmd_predict(args):
     np.save(prob_path, prob.astype(np.float32))
     write_manifest(
         args.out, "predict", params.config.seed,
-        config=_config_snapshot(params.config),
+        config={"model": dataclasses.asdict(params.config)},
         checkpoint=args.ckpt,
         outputs=[os.path.basename(mask_path), os.path.basename(prob_path)],
     )
@@ -332,7 +323,7 @@ def main(argv=None):
     except (ConfigurationError, DimensionError, StateError, UsageError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, FormatError, ValidationError, OSError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:  # FormatError is a ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except TrainingDiverged as exc:

@@ -6,36 +6,23 @@ inputs; ``backward(loss)`` runs the whole reverse sweep and frees each
 interior gradient once its closure has consumed it, so only leaves hold
 ``.grad`` afterwards and a step's memory is bounded by what the rest of the
 sweep still needs.  Closures keep compact state (bool masks rather than
-float ones) for the same reason.  The element type
-of new leaves follows the session default (float32 for training, float64
-for gradient checking, see ``dtype_session``).
+float ones) for the same reason.
+
+Element types: a leaf is float32 unless its creator names another type
+(gradient checks name float64); every op takes its output type from its
+inputs, and a constant operand (a scalar or plain array) takes the type of
+the tensor it meets.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, StateError, UsageError
 
-_DEFAULT_DTYPE = np.float32
 NORM_EPS = 1e-5  # variance offset of both normalizations
-
-
-@contextmanager
-def dtype_session(dtype):
-    """Temporarily switch the session element type (e.g. float64 for gradcheck)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ConfigurationError(f"unsupported element type {dtype}")
-    previous, _DEFAULT_DTYPE = _DEFAULT_DTYPE, dtype.type
-    try:
-        yield
-    finally:
-        _DEFAULT_DTYPE = previous
 
 
 class Tensor:
@@ -44,7 +31,7 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=dtype or np.float32)
         self.grad = None
         self._parents = ()
         self._backward = None
@@ -107,10 +94,11 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _as_array(x):
+def _as_array(x, other):
+    """``x``'s array; a constant takes the element type of its operand ``other``."""
     if isinstance(x, Tensor):
         return x.data
-    return np.asarray(x, dtype=_DEFAULT_DTYPE)
+    return np.asarray(x, dtype=other.dtype)
 
 
 def backward(loss):
@@ -157,7 +145,7 @@ def backward(loss):
 
 
 def _binary(a, b, fwd, bwd_a, bwd_b):
-    ad, bd = _as_array(a), _as_array(b)
+    ad, bd = _as_array(a, b), _as_array(b, a)
     try:
         data = fwd(ad, bd)
     except ValueError as exc:
@@ -762,12 +750,11 @@ class ParamStore:
     fan-in-scaled uniform for convolution weights, a constant (zero unless
     given) for biases, zeros for shifts and ones for normalization scales;
     the draws come from a generator seeded with ``rng_seed`` so builds are
-    reproducible.
+    reproducible.  Arrays it registers become float32 leaves.
     """
 
     def __init__(self, rng_seed):
-        self.rng_seed = int(rng_seed)
-        self._rng = np.random.default_rng(self.rng_seed)
+        self._rng = np.random.default_rng(int(rng_seed))
         self._entries = {}
         self.bn_states = {}
 
@@ -784,7 +771,7 @@ class ParamStore:
         """Register ``name.w`` then ``name.b`` (filled with ``bias``); returns (w, b)."""
         bound = 1.0 / math.sqrt(cin_g * kh * kw)
         data = self._rng.uniform(-bound, bound, size=(cout, cin_g, kh, kw))
-        w = self.add(f"{name}.w", data.astype(_DEFAULT_DTYPE))
+        w = self.add(f"{name}.w", data)
         return w, self.full(f"{name}.b", (cout,), bias)
 
     def norm(self, name, c):
@@ -799,29 +786,19 @@ class ParamStore:
         return scale, shift, state
 
     def full(self, name, shape, value):
-        return self.add(name, np.full(shape, value, dtype=_DEFAULT_DTYPE))
+        return self.add(name, np.full(shape, value))
 
     def matrix(self, name, rows, cols, scale):
-        data = self._rng.uniform(-scale, scale, size=(rows, cols))
-        return self.add(name, data.astype(_DEFAULT_DTYPE))
+        return self.add(name, self._rng.uniform(-scale, scale, size=(rows, cols)))
 
     def __getitem__(self, name):
         return self._entries[name]
-
-    def __contains__(self, name):
-        return name in self._entries
-
-    def __len__(self):
-        return len(self._entries)
 
     def names(self):
         return list(self._entries)
 
     def items(self):
         return self._entries.items()
-
-    def param_count(self):
-        return sum(t.size for t in self._entries.values())
 
     def copy_values(self):
         return {name: t.data.copy() for name, t in self._entries.items()}

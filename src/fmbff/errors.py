@@ -22,7 +22,8 @@ class UsageError(FmbffError, RuntimeError):
 
 
 class ParseError(FmbffError, ValueError):
-    """A file could not be parsed; carries the byte offset of the failure."""
+    """A file could not be parsed; carries the byte offset of the failure
+    when one is known, and the message names it."""
 
     def __init__(self, message, offset=None):
         if offset is not None:
@@ -31,8 +32,9 @@ class ParseError(FmbffError, ValueError):
         self.offset = offset
 
 
-class FormatError(FmbffError, ValueError):
-    """A binary artifact has a bad magic, version, or checksum."""
+class FormatError(ParseError):
+    """A binary artifact has a bad magic, version, checksum or framing, or an
+    entry that does not fit."""
 
 
 class ValidationError(FmbffError, ValueError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import blocks
-from .engine import ParamStore, Tensor, backward, dtype_session, mul, sum_
+from .engine import ParamStore, Tensor, backward, mul, sum_
 from .errors import UsageError
 from .model import ModelConfig, build_model, model_forward
 
@@ -109,7 +109,8 @@ def _named(store: ParamStore, x: Tensor):
 
 
 def _jitter(store: ParamStore):
-    """Nudge every parameter off its init value by up to 0.05.
+    """Nudge every parameter off its init value by up to 0.05, widening it to
+    float64.
 
     Zero-initialized biases otherwise leave pre-activations sitting exactly
     on the relu kink (e.g. under fully dropped-out patches), where finite
@@ -118,14 +119,14 @@ def _jitter(store: ParamStore):
     rng = np.random.default_rng(11)
     for _, t in store.items():
         noise = rng.uniform(-0.05, 0.05, size=t.data.shape)
-        t.data = np.asarray(t.data + noise, dtype=t.data.dtype)
+        t.data = t.data + noise
 
 
 def _fmcab_suite():
     store = ParamStore(0)
     params = blocks.FmcabParams.build(store, "b", 4, reduction=4)
     _jitter(store)
-    x = Tensor(np.random.default_rng(1).standard_normal((1, 4, 6, 6)))
+    x = Tensor(np.random.default_rng(1).standard_normal((1, 4, 6, 6)), np.float64)
     f = lambda: _scalarize(blocks.fmcab_forward(x, params))
     return _coordinate_errors(f, _named(store, x))
 
@@ -135,8 +136,8 @@ def _biffm_suite():
     params = blocks.BiffmParams.build(store, "b", 4, 6, width=4, shuffle_groups=4)
     _jitter(store)
     rng = np.random.default_rng(2)
-    d = Tensor(rng.standard_normal((1, 4, 6, 6)))
-    s = Tensor(rng.standard_normal((1, 6, 3, 3)))
+    d = Tensor(rng.standard_normal((1, 4, 6, 6)), np.float64)
+    s = Tensor(rng.standard_normal((1, 6, 3, 3)), np.float64)
     f = lambda: _scalarize(blocks.biffm_forward(d, s, params))
     return _coordinate_errors(f, [("input_d", d), ("input_s", s)] + list(store.items()))
 
@@ -145,7 +146,7 @@ def _vitm_suite():
     store = ParamStore(0)
     params = blocks.VitmParams.build(store, "b", 4, 36, heads=2)
     _jitter(store)
-    x = Tensor(np.random.default_rng(3).standard_normal((1, 4, 6, 6)))
+    x = Tensor(np.random.default_rng(3).standard_normal((1, 4, 6, 6)), np.float64)
     f = lambda: _scalarize(blocks.vitm_forward(x, params))
     return _coordinate_errors(f, _named(store, x))
 
@@ -154,7 +155,7 @@ def _frm_suite():
     store = ParamStore(0)
     params = blocks.FrmParams.build(store, "b", 4, 2, upsample=True)
     _jitter(store)
-    x = Tensor(np.random.default_rng(4).standard_normal((1, 4, 6, 6)))
+    x = Tensor(np.random.default_rng(4).standard_normal((1, 4, 6, 6)), np.float64)
 
     def f():
         # Fixed rng seed per call keeps the dropout mask deterministic, which
@@ -177,7 +178,7 @@ def _model_suite():
     )
     params = build_model(config)
     _jitter(params.store)
-    x = Tensor(np.random.default_rng(5).standard_normal((1, 2, 16, 16)))
+    x = Tensor(np.random.default_rng(5).standard_normal((1, 2, 16, 16)), np.float64)
 
     def f():
         trace = model_forward(x, params, mode="train", rng=np.random.default_rng(7))
@@ -204,6 +205,4 @@ def run_suite(block):
     if block not in _SUITES:
         raise UsageError(f"unknown gradcheck block {block!r}; choose from {BLOCK_NAMES}")
     tolerance = MODEL_TOLERANCE if block == "model" else BLOCK_TOLERANCE
-    with dtype_session(np.float64):
-        errors = _SUITES[block]()
-    return errors, tolerance
+    return _SUITES[block](), tolerance

@@ -440,14 +440,14 @@ def read_checkpoint_entries(path):
     if len(blob) < 10:
         raise ParseError(f"{path}: truncated checkpoint", offset=len(blob))
     if blob[:4] != _MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
+        raise FormatError(f"{path}: bad magic {blob[:4]!r}", offset=0)
     version, count = struct.unpack_from("<HI", blob, 4)
     if version != _VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
+        raise FormatError(f"{path}: unsupported version {version}", offset=4)
     body = blob[:-4]
     stored_crc = struct.unpack_from("<I", blob, len(body))[0]
     if stored_crc != zlib.crc32(body) & 0xFFFFFFFF:
-        raise FormatError(f"{path}: checksum mismatch")
+        raise FormatError(f"{path}: checksum mismatch", offset=len(body))
     offset = 10
     entries = _Entries(path)
     for _ in range(count):
@@ -461,15 +461,16 @@ def read_checkpoint_entries(path):
             name = None
         if name is None or name in entries:
             problem = "is not UTF-8" if name is None else f"{name!r} is repeated"
-            raise FormatError(f"{path}: entry name {problem} (byte offset {name_at})")
+            raise FormatError(f"{path}: entry name {problem}", offset=name_at)
         raw, offset = _read_exact(body, offset, 2, path)
         tag, rank = struct.unpack("<BB", raw)
         if tag not in _DTYPE_TAGS:
-            raise FormatError(f"{path}: unknown dtype tag {tag} for {name!r}")
+            raise FormatError(
+                f"{path}: unknown dtype tag {tag} for {name!r}", offset=offset - 2
+            )
         if rank > _MAX_RANK:
             raise FormatError(
-                f"{path}: entry {name!r} has rank {rank}, above {_MAX_RANK} "
-                f"(byte offset {offset - 1})"
+                f"{path}: entry {name!r} has rank {rank}, above {_MAX_RANK}", offset=offset - 1
             )
         raw, offset = _read_exact(body, offset, 4 * rank, path)
         shape = struct.unpack(f"<{rank}I", raw)
@@ -479,8 +480,7 @@ def read_checkpoint_entries(path):
         entries[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if offset != len(body):
         raise FormatError(
-            f"{path}: {len(body) - offset} stray bytes after the last entry "
-            f"(byte offset {offset})"
+            f"{path}: {len(body) - offset} stray bytes after the last entry", offset=offset
         )
     return entries
 

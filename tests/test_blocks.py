@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fmbff import blocks, gradcheck
-from fmbff.engine import ParamStore, Tensor, dtype_session
+from fmbff.engine import ParamStore, Tensor
 from fmbff.errors import ConfigurationError, DimensionError
 
 

@@ -164,17 +164,3 @@ class TestPredictProbs:
             probs[1], bilinear_resize(Tensor(out.data[1:]), 24, 10).data[0]
         )
 
-
-class TestParamCount:
-    def test_matches_store(self):
-        params = build_model(tiny_config())
-        assert params.store.param_count() == sum(t.size for _, t in params.store.items())
-
-    def test_monotone_in_widths(self):
-        small = build_model(tiny_config())
-        large = build_model(tiny_config(encoder_widths=(8, 8, 8, 8)))
-        assert large.store.param_count() > small.store.param_count()
-
-    def test_deterministic(self):
-        assert (build_model(tiny_config()).store.param_count()
-                == build_model(tiny_config()).store.param_count())

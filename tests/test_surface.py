@@ -1,8 +1,9 @@
 """Guard against dead surface: every module-level function of the package,
-public or private, is used somewhere in the package itself, not only by
-tests; every dataclass field is read somewhere in the package; every
-defaulted parameter is passed by some call in the package; the declared
-dependencies are exactly the third-party modules the package imports."""
+public or private, and every method and property is used somewhere in the
+package itself, not only by tests; every dataclass field is read somewhere
+in the package; every defaulted parameter is passed by some call in the
+package, bar a named set; the declared dependencies are exactly the
+third-party modules the package imports."""
 
 import ast
 import os
@@ -16,18 +17,24 @@ import pytest
 import fmbff
 
 PACKAGE = Path(fmbff.__file__).parent
-# Entry points called from outside the package (the console script).
-EXEMPT = {"main"}
+# Entry points called from outside the package.
+EXEMPT = {
+    "main",  # the console script
+    "ParamStore.copy_values",  # perfbench/workloads.py snapshots parameters with it
+}
 
 
 def unused_functions(package_dir):
-    """Module-level functions, public or ``_private``, that no source in
-    ``package_dir`` uses.
+    """Module-level functions, public or ``_private``, and methods and
+    properties other than dunders, that no source in ``package_dir`` uses.
 
-    A name counts as used when it is loaded as a ``Name``, read as an
+    A function counts as used when it is loaded as a ``Name``, read as an
     attribute of a package-module alias (``blocks.fmcab_forward``), or
     re-exported by the package's ``__init__.py``.  A lowering left behind
-    beside the one that replaced it shows up here.
+    beside the one that replaced it shows up here.  A method or property
+    counts as used when an attribute of its name is loaded anywhere
+    (``store.names()``), whatever object it is loaded from; like the field
+    scan below, that misses a dead method named like a used one.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in Path(package_dir).glob("*.py")}
     defined = {
@@ -35,6 +42,19 @@ def unused_functions(package_dir):
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
+    }
+    methods = {
+        (module, cls.name, fn.name)
+        for module, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
+    }
+    loaded = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     used = set()
     for module, tree in trees.items():
@@ -53,10 +73,9 @@ def unused_functions(package_dir):
             elif (module == "__init__" and isinstance(node, ast.ImportFrom)
                   and node.level > 0):
                 used.update(alias.name for alias in node.names)
-    return sorted(
-        f"{module}.{name}" for module, name in defined
-        if name not in used and name not in EXEMPT
-    )
+    dead = [f"{module}.{name}" for module, name in defined if name not in used]
+    dead += [f"{module}.{cls}.{name}" for module, cls, name in methods if name not in loaded]
+    return sorted(d for d in dead if d.split(".", 1)[1] not in EXEMPT)
 
 
 def test_every_public_function_is_used_in_the_package():
@@ -72,10 +91,17 @@ def test_scan_flags_a_function_nothing_calls(tmp_path):
         "def dead():\n    return called()\n\n"
         "def _helper():\n    pass\n\n"
         "def _old_helper():\n    pass\n\n"
-        "def main():\n    return _helper()\n"
+        "def main():\n    return _helper()\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.v = 0\n\n"
+        "    @property\n    def size(self):\n        return self.v\n\n"
+        "    def used(self):\n        return self.size\n\n"
+        "    def dead_method(self):\n        pass\n"
     )
-    (tmp_path / "user.py").write_text("from . import ops as o\n\nVALUE = o.via_alias\n")
-    assert unused_functions(tmp_path) == ["ops._old_helper", "ops.dead"]
+    (tmp_path / "user.py").write_text(
+        "from . import ops as o\n\nVALUE = o.via_alias\nSIZE = o.Box().used()\n"
+    )
+    assert unused_functions(tmp_path) == ["ops.Box.dead_method", "ops._old_helper", "ops.dead"]
 
 
 def unread_dataclass_fields(package_dir):
@@ -131,8 +157,9 @@ def test_scan_flags_a_field_nothing_reads(tmp_path):
 
 
 # Defaulted parameters that only callers outside the package set, by setter.
+# The guard holds the set to exactly the unpassed ones, so an entry that the
+# package now passes, or whose parameter is gone, fails it too.
 EXEMPT_PARAMS = {
-    "Tensor.dtype",  # tests
     "biffm_forward.return_gates",  # acceptance criteria 2 and 4
     "tsa_forward.return_attn",  # acceptance criteria 2 and 4
     "gsa_forward.return_attn",  # acceptance criteria 2 and 4
@@ -207,11 +234,11 @@ def unpassed_defaults(package_dir):
                          zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
             unpassed.update(f"{label}.{p}" for i, p, d in defaults
                             if not passed(callee, i, p, d))
-    return sorted(unpassed - EXEMPT_PARAMS)
+    return sorted(unpassed)
 
 
 def test_every_default_is_passed_in_the_package():
-    assert unpassed_defaults(PACKAGE) == []
+    assert set(unpassed_defaults(PACKAGE)) == EXEMPT_PARAMS
 
 
 def test_scan_flags_a_default_nothing_passes(tmp_path):
@@ -234,7 +261,8 @@ def test_scan_flags_a_default_nothing_passes(tmp_path):
         "    return scale(x, clip=1.0, dead=0)\n"
     )
     assert unpassed_defaults(tmp_path) == [
-        "Store.conv.bias", "Store.spare", "norm.b", "norm.eps", "scale.dead", "scale.factor"
+        "Store.conv.bias", "Store.spare", "main.argv", "norm.b", "norm.eps", "scale.dead",
+        "scale.factor",
     ]
 
 

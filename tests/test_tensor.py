@@ -19,7 +19,6 @@ from fmbff.engine import (
     concat,
     conv2d,
     dropout,
-    dtype_session,
     dws_conv3x3,
     gelu,
     global_max_pool,
@@ -156,29 +155,28 @@ KERNEL_CLASS_CASES = [
 def test_conv_kernel_classes(name, xshape, wshape, stride, pad, groups):
     """Dense and depthwise lowerings match a float64 loop and finite differences."""
     rng = np.random.default_rng(len(name))
-    with dtype_session(np.float64):
-        if xshape == "permuted":
-            # tsa_forward's layout: (n, h*w, c) tokens viewed as an (n, c, h, w) map
-            x = Tensor(rng.standard_normal((2, 20, 3)))
-            as_map = lambda t: reshape(permute(t, (0, 2, 1)), (2, 3, 4, 5))
-            assert not as_map(x).data.flags.c_contiguous
-        else:
-            x = Tensor(rng.standard_normal(xshape))
-            as_map = lambda t: t
-        w = Tensor(rng.standard_normal(wshape))
-        b = Tensor(rng.standard_normal(wshape[0]))
-        out = conv2d(as_map(x), w, b, stride=stride, pad=pad, groups=groups)
-        ref = _naive_conv(as_map(x).data, w.data, b.data, stride, pad, groups)
-        np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+    if xshape == "permuted":
+        # tsa_forward's layout: (n, h*w, c) tokens viewed as an (n, c, h, w) map
+        x = Tensor(rng.standard_normal((2, 20, 3)), np.float64)
+        as_map = lambda t: reshape(permute(t, (0, 2, 1)), (2, 3, 4, 5))
+        assert not as_map(x).data.flags.c_contiguous
+    else:
+        x = Tensor(rng.standard_normal(xshape), np.float64)
+        as_map = lambda t: t
+    w = Tensor(rng.standard_normal(wshape), np.float64)
+    b = Tensor(rng.standard_normal(wshape[0]), np.float64)
+    out = conv2d(as_map(x), w, b, stride=stride, pad=pad, groups=groups)
+    ref = _naive_conv(as_map(x).data, w.data, b.data, stride, pad, groups)
+    np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
-        probe = rng.standard_normal(ref.shape)
-        leaves = {"x": x, "w": w, "b": b}
-        for slot, leaf in leaves.items():
-            def f(t, slot=slot):
-                a = dict(leaves, **{slot: t})
-                y = conv2d(as_map(a["x"]), a["w"], a["b"], stride, pad, groups)
-                return sum_(mul(y, probe))
-            assert finite_diff_check(f, leaf) < 1e-6, slot
+    probe = rng.standard_normal(ref.shape)
+    leaves = {"x": x, "w": w, "b": b}
+    for slot, leaf in leaves.items():
+        def f(t, slot=slot):
+            a = dict(leaves, **{slot: t})
+            y = conv2d(as_map(a["x"]), a["w"], a["b"], stride, pad, groups)
+            return sum_(mul(y, probe))
+        assert finite_diff_check(f, leaf) < 1e-6, slot
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -548,10 +546,9 @@ class TestBackward:
             backward(add(x, x))  # non-scalar
 
     def test_double_consumption_sums(self):
-        with dtype_session(np.float64):
-            x = Tensor(np.random.default_rng(12).standard_normal(5))
-            f = lambda t: sum_(add(mul(t, t), mul(t, 2.0)))
-            assert finite_diff_check(f, x) < 1e-8
+        x = Tensor(np.random.default_rng(12).standard_normal(5), np.float64)
+        f = lambda t: sum_(add(mul(t, t), mul(t, 2.0)))
+        assert finite_diff_check(f, x) < 1e-8
 
     def test_repeated_backward_accumulates(self):
         x = Tensor(np.ones(3))
@@ -577,41 +574,57 @@ class TestBackward:
         assert x.grad is not None and t.grad is None and loss.grad is None
 
 
+class TestElementType:
+    """A leaf is float32 unless its creator names a type, and a constant
+    operand takes the type of the tensor it meets."""
+
+    def test_leaf_default_is_float32(self):
+        assert Tensor(np.zeros(2)).dtype == np.float32
+        assert Tensor([1.0, 2.0]).dtype == np.float32
+        assert Tensor(np.zeros(2), np.float64).dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constant_takes_tensor_type(self, dtype):
+        x = np.random.default_rng(30).standard_normal(5).astype(dtype)
+        leaf = Tensor(x, dtype)
+        y = mul(leaf, 0.1)
+        assert y.dtype == dtype and y.data.tobytes() == (x * dtype(0.1)).tobytes()
+        backward(sum_(y))
+        assert leaf.grad.dtype == dtype
+        assert leaf.grad.tobytes() == np.full(5, 0.1, dtype=dtype).tobytes()
+        c = np.random.default_rng(31).standard_normal(5)  # a float64 array
+        assert add(leaf, c).data.tobytes() == (x + c.astype(dtype)).tobytes()
+
+
 class TestFiniteDiff:
     def test_sum_of_squares(self):
-        with dtype_session(np.float64):
-            x = Tensor(np.random.default_rng(13).standard_normal(6))
-            assert finite_diff_check(lambda t: sum_(mul(t, t)), x) < 1e-8
+        x = Tensor(np.random.default_rng(13).standard_normal(6), np.float64)
+        assert finite_diff_check(lambda t: sum_(mul(t, t)), x) < 1e-8
 
     def test_sum_of_squares_transposed_leaf(self):
-        with dtype_session(np.float64):
-            x = Tensor(np.random.default_rng(13).standard_normal((2, 3)).T)
-            assert not x.data.flags.c_contiguous
-            assert finite_diff_check(lambda t: sum_(mul(t, t)), x) < 1e-8
+        x = Tensor(np.random.default_rng(13).standard_normal((2, 3)).T, np.float64)
+        assert not x.data.flags.c_contiguous
+        assert finite_diff_check(lambda t: sum_(mul(t, t)), x) < 1e-8
 
     def test_non_leaf_rejected(self):
-        with dtype_session(np.float64):
-            x = mul(Tensor(np.random.default_rng(13).standard_normal(3)), 2.0)
-            with pytest.raises(UsageError):
-                finite_diff_check(lambda t: sum_(mul(t, t)), x)
+        x = mul(Tensor(np.random.default_rng(13).standard_normal(3), np.float64), 2.0)
+        with pytest.raises(UsageError):
+            finite_diff_check(lambda t: sum_(mul(t, t)), x)
 
     def test_sigmoid_chain(self):
-        with dtype_session(np.float64):
-            x = Tensor(np.random.default_rng(14).standard_normal(6))
-            assert finite_diff_check(lambda t: sum_(sigmoid(t)), x) < 1e-6
+        x = Tensor(np.random.default_rng(14).standard_normal(6), np.float64)
+        assert finite_diff_check(lambda t: sum_(sigmoid(t)), x) < 1e-6
 
     def test_constant(self):
-        with dtype_session(np.float64):
-            x = Tensor(np.random.default_rng(15).standard_normal(4))
-            const = Tensor(np.asarray(1.5))
-            assert finite_diff_check(lambda t: const, x) == 0.0
+        x = Tensor(np.random.default_rng(15).standard_normal(4), np.float64)
+        const = Tensor(np.asarray(1.5), np.float64)
+        assert finite_diff_check(lambda t: const, x) == 0.0
 
     def test_nondeterministic_rejected(self):
-        with dtype_session(np.float64):
-            x = Tensor(np.random.default_rng(16).standard_normal(4))
-            rng = np.random.default_rng(0)
-            with pytest.raises(UsageError):
-                finite_diff_check(lambda t: sum_(mul(t, float(rng.random()))), x)
+        x = Tensor(np.random.default_rng(16).standard_normal(4), np.float64)
+        rng = np.random.default_rng(0)
+        with pytest.raises(UsageError):
+            finite_diff_check(lambda t: sum_(mul(t, float(rng.random()))), x)
 
     def test_wrong_gradient_caught(self):
         """A backward that drops its factor 2 gives analytic 1 against numeric 2,
@@ -619,13 +632,12 @@ class TestFiniteDiff:
         def f(t):
             return sum_(Tensor._from_op(t.data * 2, (t,), lambda g: _accumulate(t, g)))
 
-        with dtype_session(np.float64):
-            x = Tensor(np.random.default_rng(17).standard_normal((2, 3)))
-            data, before = x.data, x.data.tobytes()
-            assert finite_diff_check(f, x) == pytest.approx(1 / 3, rel=1e-6)
-            [(name, err)] = _directional_errors(lambda: f(x), [("x", x)])
-            assert name == "x" and err == pytest.approx(1 / 3, rel=1e-6)
-            assert x.data is data and x.data.tobytes() == before
+        x = Tensor(np.random.default_rng(17).standard_normal((2, 3)), np.float64)
+        data, before = x.data, x.data.tobytes()
+        assert finite_diff_check(f, x) == pytest.approx(1 / 3, rel=1e-6)
+        [(name, err)] = _directional_errors(lambda: f(x), [("x", x)])
+        assert name == "x" and err == pytest.approx(1 / 3, rel=1e-6)
+        assert x.data is data and x.data.tobytes() == before
 
 
 @pytest.mark.parametrize(
@@ -642,15 +654,14 @@ class TestFiniteDiff:
 )
 def test_primitive_gradients(name, f, shape):
     """Every differentiable primitive passes finite differences in 64-bit."""
-    with dtype_session(np.float64):
-        x = Tensor(np.random.default_rng(hash(name) % 2**32).standard_normal(shape))
-        if name == "conv":
-            w = Tensor(np.random.default_rng(1).standard_normal((2, 3, 3, 3)))
-            f = lambda t: sum_(mul(
-                conv2d(t, w, None, pad=1),
-                np.random.default_rng(2).standard_normal((1, 2, 6, 6)),
-            ))
-        assert finite_diff_check(f, x) < 1e-5
+    x = Tensor(np.random.default_rng(hash(name) % 2**32).standard_normal(shape), np.float64)
+    if name == "conv":
+        w = Tensor(np.random.default_rng(1).standard_normal((2, 3, 3, 3)), np.float64)
+        f = lambda t: sum_(mul(
+            conv2d(t, w, None, pad=1),
+            np.random.default_rng(2).standard_normal((1, 2, 6, 6)),
+        ))
+    assert finite_diff_check(f, x) < 1e-5
 
 
 class TestParamStore:

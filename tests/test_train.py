@@ -11,7 +11,7 @@ import pytest
 tr = importlib.import_module("fmbff.train")
 from fmbff import cli
 from fmbff.data import generate_synthetic, write_image
-from fmbff.engine import ParamStore, Tensor, backward, dtype_session
+from fmbff.engine import ParamStore, Tensor, backward
 from fmbff.errors import FormatError, ParseError, UsageError
 from fmbff.gradcheck import finite_diff_check
 from fmbff.model import ModelConfig, build_model, model_forward
@@ -50,15 +50,14 @@ class TestLoss:
         pred = Tensor(np.full_like(gt, 0.5))
         # soft dice = (2*2 + 1) / (2 + 4 + 1) = 5/7
         dice_only = tr.loss(pred, gt, w_bce=0.0, w_dice=1.0).item()
-        assert abs(dice_only - (1 - 5 / 7)) < 1e-6  # float32 session precision
+        assert abs(dice_only - (1 - 5 / 7)) < 1e-6  # float32 precision
 
     def test_gradient_matches_finite_differences(self):
-        with dtype_session(np.float64):
-            rng = np.random.default_rng(1)
-            gt = (rng.random((1, 1, 4, 4)) > 0.5).astype(np.float64)
-            pred = Tensor(rng.uniform(0.1, 0.9, size=gt.shape))
-            err = finite_diff_check(lambda p: tr.loss(p, gt), pred)
-            assert err < 1e-6
+        rng = np.random.default_rng(1)
+        gt = (rng.random((1, 1, 4, 4)) > 0.5).astype(np.float64)
+        pred = Tensor(rng.uniform(0.1, 0.9, size=gt.shape), np.float64)
+        err = finite_diff_check(lambda p: tr.loss(p, gt), pred)
+        assert err < 1e-6
 
     def test_shape_mismatch(self):
         from fmbff.errors import DimensionError
@@ -395,7 +394,7 @@ class TestCheckpoint:
         # checkpoint layout; these values must not drift across refactors.
         params = build_model(tiny_config())
         listing = "".join(f"{name} {t.shape}\n" for name, t in params.store.items())
-        assert len(params.store) == 247
+        assert len(params.store.names()) == 247
         assert hashlib.sha256(listing.encode()).hexdigest() == (
             "417e9dd94a6b563d840dc66ef1d41e7dd75202c5f041121ed97d8b9ae1e4834f")
         assert list(params.bn_states) == [
@@ -411,14 +410,16 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="checksum"):
+        with pytest.raises(FormatError, match="checksum") as exc:
             tr.read_checkpoint_entries(path)
+        assert exc.value.offset == len(blob) - 4  # the stored CRC
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fmbf"
         path.write_bytes(b"XXXX" + b"\x00" * 20)
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match="magic") as exc:
             tr.read_checkpoint_entries(path)
+        assert exc.value.offset == 0
 
     def test_bad_version(self, tmp_path):
         _, _, good = self._trained(tmp_path)
@@ -430,8 +431,9 @@ class TestCheckpoint:
         blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])) & 0xFFFFFFFF)
         bad = tmp_path / "v.fmbf"
         bad.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError, match="version") as exc:
             tr.read_checkpoint_entries(bad)
+        assert exc.value.offset == 4
 
     def test_entry_writer_matches_format(self, tmp_path):
         _, _, path = self._trained(tmp_path)
@@ -503,6 +505,22 @@ class TestCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "'extra' has rank 65" in err and f"(byte offset {rank_at})" in err, err
+
+    def test_unknown_dtype_tag_exits_3(self, tmp_path, capsys):
+        _, _, path = self._trained(tmp_path)
+        body = bytearray(path.read_bytes()[:-4])
+        (nlen,) = struct.unpack_from("<H", body, 10)
+        tag_at = 10 + 2 + nlen  # the first entry's dtype tag
+        body[tag_at] = 7
+        path.write_bytes(_seal(body))
+        image = tmp_path / "probe.ppm"
+        write_image(image, generate_synthetic(1, size=(16, 16), seed=1)[0].image)
+        capsys.readouterr()
+        assert cli.main(["predict", "--image", str(image), "--ckpt", str(path),
+                         "--out", str(tmp_path / "pred")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "unknown dtype tag 7" in err and f"(byte offset {tag_at})" in err, err
 
     def test_largest_seed_round_trips(self, tmp_path):
         # 2**53 is the largest seed the float64 config entry holds exactly
