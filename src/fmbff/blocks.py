@@ -4,7 +4,8 @@ Each block is a plain dataclass with one field per layer, registered in a
 ParamStore (so the optimizer and checkpointing see every weight): a conv
 field is a (weight, bias) pair, a norm field a (scale, shift) pair and a
 batch-norm field adds its running statistics.  A pure forward function goes
-with each.  Channel contracts:
+with each.  ``ModelConfig.validate`` checks the hyperparameters' rules (p, heads,
+shuffle groups); ``build`` takes them as given.  Channel contracts:
 
   * FMCAB keeps N x C x H x W unchanged.
   * BiFFM fuses a decoder map (N x Cd x H x W) with a skip (any size) into
@@ -29,7 +30,6 @@ from .engine import (
     concat,
     conv2d,
     dropout,
-    dws_conv3x3,
     gelu,
     global_max_pool,
     layer_norm,
@@ -50,7 +50,7 @@ FRM_DROP_P = 0.5  # dropout probability of the FRM branch
 
 
 def _gap(x):  # global average pool
-    return mean_(x, axis=(2, 3), keepdims=True)
+    return mean_(x, axis=(2, 3))
 
 
 def _check_channels(x, expected, what):
@@ -82,8 +82,6 @@ class FmcabParams:
 
     @classmethod
     def build(cls, store: ParamStore, prefix, channels, reduction=4, p_exponent=1.0):
-        if not (math.isfinite(p_exponent) and p_exponent > 0):
-            raise ConfigurationError(f"p_exponent must be a finite value > 0, got {p_exponent}")
         c = channels
         r = max(c // reduction, 1)
         p = prefix
@@ -152,10 +150,6 @@ class BiffmParams:
     @classmethod
     def build(cls, store, prefix, cd, cs, width=None, shuffle_groups=4):
         c = cd if width is None else width
-        if (2 * c) % shuffle_groups != 0:
-            raise ConfigurationError(
-                f"shuffle_groups={shuffle_groups} does not divide {2 * c} channels"
-            )
         p = prefix
         return cls(
             in_channels_d=cd,
@@ -230,10 +224,6 @@ class VitmParams:
     @classmethod
     def build(cls, store, prefix, channels, spatial_hw, heads=4):
         c = channels
-        if c % heads != 0:
-            raise ConfigurationError(f"heads={heads} does not divide {c} channels")
-        if c % 2 != 0:
-            raise ConfigurationError(f"channel width must be even, got {c}")
         p = prefix
         return cls(
             channels=c,
@@ -345,7 +335,7 @@ def frm_forward(x, params, mode, rng=None):
         oh, ow = h, w
         t = x
     t = dropout(t, FRM_DROP_P, mode, rng)
-    t = dws_conv3x3(t, *params.dw, *params.pw)
+    t = conv2d(conv2d(t, *params.dw, pad=1, groups=params.in_channels), *params.pw)
     t = relu(t)
     t = batch_norm(t, *params.bn, mode)
     identity = bilinear_resize(x, oh, ow)

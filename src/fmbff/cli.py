@@ -169,10 +169,10 @@ def cmd_synth(args):
 def cmd_train(args):
     model_config, train_config = load_config(args.config)
     samples = data.load_dataset(args.data)
-    plan = data.split([s.id for s in samples], seed=train_config.seed)
+    train_ids, val_ids = data.split([s.id for s in samples], seed=train_config.seed)
     by_id = {s.id: s for s in samples}
-    train_set = [by_id[i] for i in plan.train_ids]
-    val_set = [by_id[i] for i in plan.val_ids]
+    train_set = [by_id[i] for i in train_ids]
+    val_set = [by_id[i] for i in val_ids]
     if train_config.augment:
         expanded = []
         for s in train_set:
@@ -209,7 +209,7 @@ def cmd_eval(args):
 
     folds = None
     if args.folds:
-        folds = data.kfold(list(pred_by_id), k=args.folds).folds
+        folds = data.kfold(list(pred_by_id), k=args.folds)
     report = metrics.evaluate(
         pred_by_id, gt_by_id, folds=folds, include_precision=args.precision
     )

@@ -35,18 +35,12 @@ class Sample:
     def validate(self):
         if self.image.shape[1:] != self.mask.shape[1:]:
             raise ValidationError(
-                f"image {self.image.shape} and mask {self.mask.shape} extents differ"
+                f"sample {self.id!r}: image {self.image.shape} and mask "
+                f"{self.mask.shape} extents differ"
             )
         values = np.unique(self.mask)
         if not np.all(np.isin(values, (0.0, 1.0))):
             raise ValidationError(f"mask is not binary (values {values[:5]}...)")
-
-
-@dataclass
-class SplitPlan:
-    train_ids: list
-    val_ids: list
-    folds: list | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +213,19 @@ def expand_augmentations(sample: Sample):
 # splits
 
 
-def split(ids, seed=0) -> SplitPlan:
+def split(ids, seed=0):
+    """Shuffle ``ids`` and cut them into (train ids, validation ids)."""
     ids = list(ids)
     if not ids:
         raise ConfigurationError("split over an empty id list")
     rng = np.random.default_rng(seed)
     order = [ids[i] for i in rng.permutation(len(ids))]
     cut = int(round(len(ids) * TRAIN_FRACTION))
-    return SplitPlan(train_ids=order[:cut], val_ids=order[cut:])
+    return order[:cut], order[cut:]
 
 
-def kfold(ids, k=5) -> SplitPlan:
+def kfold(ids, k=5):
+    """Partition ``ids`` into ``k`` folds of near-equal size, as a list of lists."""
     ids = list(ids)
     if not ids:
         raise ConfigurationError("kfold over an empty id list")
@@ -246,7 +242,7 @@ def kfold(ids, k=5) -> SplitPlan:
         size = base + (1 if i < extra else 0)
         folds.append(order[start : start + size])
         start += size
-    return SplitPlan(train_ids=[], val_ids=[], folds=folds)
+    return folds
 
 
 # ---------------------------------------------------------------------------

@@ -198,19 +198,17 @@ def sum_(x):
     return Tensor._from_op(data, (x,), lambda g: _accumulate(x, np.broadcast_to(g, x.shape)))
 
 
-def mean_(x, axis=None, keepdims=False):
+def mean_(x, axis=None):
+    """Mean over every element, or over ``axis``, which is kept at size 1."""
     if axis is None:
         n = x.size
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         n = int(np.prod([x.shape[a] for a in axes]))
-    data = x.data.mean(axis=axis, keepdims=keepdims)
+    data = x.data.mean(axis=axis, keepdims=axis is not None)
 
     def back(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g / n, x.shape))
+        _accumulate(x, np.broadcast_to(np.asarray(g) / n, x.shape))
 
     return Tensor._from_op(np.asarray(data), (x,), back)
 
@@ -395,12 +393,6 @@ def _conv_gemm(x, w, sh, sw, ph, pw, ho, wo):
     return out, grads
 
 
-def dws_conv3x3(x, dw_weight, dw_bias, pw_weight, pw_bias):
-    """Depthwise 3x3 (pad 1) followed by pointwise 1x1 convolution."""
-    mid = conv2d(x, dw_weight, dw_bias, pad=1, groups=x.shape[1])
-    return conv2d(mid, pw_weight, pw_bias)
-
-
 # ---------------------------------------------------------------------------
 # pooling
 
@@ -523,9 +515,9 @@ def _affine(y, scale, shift):
 
 def _standardize(x, axes, eps):
     """Centre ``x`` over ``axes`` and divide by sqrt(var + eps); returns (y, mu, var)."""
-    mu = mean_(x, axis=axes, keepdims=True)
+    mu = mean_(x, axis=axes)
     xc = sub(x, mu)
-    var = mean_(mul(xc, xc), axis=axes, keepdims=True)
+    var = mean_(mul(xc, xc), axis=axes)
     return mul(xc, pow_(add(var, float(eps)), -0.5)), mu, var
 
 

@@ -38,8 +38,8 @@ class Confusion:
 class MetricsReport:
     per_image: dict  # id -> dict of metric -> value
     aggregate: dict  # metric -> (mean, std)
-    folds: list | None = None  # list of (fold ids, aggregate dict)
-    columns: tuple = METRIC_NAMES
+    folds: list | None  # list of (fold ids, aggregate dict)
+    columns: tuple
 
 
 def confusion(pred, gt):

@@ -368,12 +368,17 @@ def save_checkpoint(path, params: ModelParams, state: TrainState | None = None):
             if name in state.adam_m:
                 entries.append((f"adam/m/{name}", state.adam_m[name]))
                 entries.append((f"adam/v/{name}", state.adam_v[name]))
+    write_checkpoint_entries(path, dict(entries))
 
+
+def write_checkpoint_entries(path, entries):
+    """Write named arrays as a checkpoint file, in mapping order; the inverse
+    of ``read_checkpoint_entries``."""
     tags = {dtype.type: tag for tag, dtype in _DTYPE_TAGS.items()}
     buf = bytearray()
     buf += _MAGIC
     buf += struct.pack("<HI", _VERSION, len(entries))
-    for name, arr in entries:
+    for name, arr in entries.items():
         arr = np.asarray(arr)
         if arr.dtype.type not in tags:
             raise UsageError(f"entry {name!r} has unsupported dtype {arr.dtype}")
@@ -488,7 +493,10 @@ def read_checkpoint_entries(path):
 def load_checkpoint(path):
     """Rebuild (ModelParams, TrainState-or-None) from a checkpoint file."""
     entries = read_checkpoint_entries(path)
-    params = build_model(_config_from_entries(entries))
+    try:
+        params = build_model(_config_from_entries(entries))
+    except ConfigurationError as exc:
+        raise FormatError(f"{path}: stored model config is invalid: {exc}") from None
     for name, arr in _model_entries(params):
         entries.finite(name, arr.shape, 0.0 if name.endswith("/var") else -math.inf)
     for name in params.bn_states:

@@ -263,10 +263,10 @@ def test_criterion_5_protocol(acceptance_report):
     augment_ok = len(expanded) == 36 and len({e.id for e in expanded}) == 36
 
     ids = [f"s{i}" for i in range(103)]
-    plan = data.kfold(ids, k=5)
-    sizes = sorted(len(f) for f in plan.folds)
+    folds = data.kfold(ids, k=5)
+    sizes = sorted(len(f) for f in folds)
     kfold_ok = sizes == [20, 20, 21, 21, 21] and sorted(
-        i for f in plan.folds for i in f
+        i for f in folds for i in f
     ) == sorted(ids)
 
     ok = plateau_ok and early_ok and augment_ok and kfold_ok

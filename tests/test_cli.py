@@ -190,6 +190,10 @@ class TestTrain:
         "model.input_size = -16x-16",
         "model.p_exponent = nan",
         "model.p_exponent = inf",
+        "model.p_exponent = 0",
+        "model.p_exponent = -1",
+        "model.heads = 3",
+        "model.shuffle_groups = 3",
         "train.seed = -1",
         "model.seed = -3",
         "train.seed = 9007199254740993",  # 2**53 + 1 reads back from float64 as 2**53
@@ -207,6 +211,33 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    def test_augmented_training_reproducible(self, tmp_path):
+        ds = tmp_path / "ds"
+        cli.main(["synth", "--n", "3", "--size", "16x16", "--out", str(ds)])
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY_CONFIG + "train.augment = true\n")
+        ckpts = []
+        for run in (tmp_path / "a", tmp_path / "b"):
+            assert cli.main(["train", "--data", str(ds), "--config", str(cfg),
+                             "--out", str(run)]) == 0
+            ckpts.append(run / "ckpt.fmbf")
+        assert ckpts[0].read_bytes() == ckpts[1].read_bytes()
+        # 2 training samples x 36 variants in batches of 4
+        assert train_mod.load_checkpoint(ckpts[0])[1].adam_t == 18
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mask_extent_mismatch_names_sample_exits_3(self, tmp_path, capsys, command):
+        ds = tmp_path / "ds"
+        data.write_dataset(ds, data.generate_synthetic(3, size=(16, 16), seed=3))
+        data.write_mask(ds / "masks" / "synth0001_mask.pgm", np.zeros((1, 8, 8), np.float32))
+        args = ["--ckpt", str(tiny_checkpoint(tmp_path))] if command == "eval" else []
+        capsys.readouterr()
+        assert cli.main([command, "--data", str(ds), *args,
+                         "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'synth0001'" in err and "extents differ" in err and "Traceback" not in err
 
     def test_absurd_model_size_exits_2(self, tmp_path, capsys):
         # far beyond a 47-bit (128 TiB) address space, so no host can allocate it
@@ -301,21 +332,6 @@ class TestEvalPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "width 0" in err and "Traceback" not in err
-
-    def test_checkpoint_with_zero_heads_exits_2(self, tmp_path, capsys):
-        params, _ = train_mod.load_checkpoint(tiny_checkpoint(tmp_path))
-        params.config = dataclasses.replace(params.config, heads=0)
-        ckpt = tmp_path / "heads0.fmbf"
-        train_mod.save_checkpoint(ckpt, params)
-        sample = data.generate_synthetic(1, size=(16, 16), seed=1)[0]
-        img_path = tmp_path / "probe.ppm"
-        data.write_image(img_path, sample.image)
-        capsys.readouterr()
-        assert cli.main(["predict", "--image", str(img_path), "--ckpt", str(ckpt),
-                         "--out", str(tmp_path / "pred")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "heads" in err and "Traceback" not in err
 
     def test_absurd_checkpoint_size_exits_2(self, tmp_path, capsys):
         # far beyond a 47-bit (128 TiB) address space, so no host can allocate it

@@ -88,24 +88,22 @@ class TestAugment:
 class TestSplits:
     def test_80_20(self):
         ids = [f"s{i}" for i in range(100)]
-        plan = data.split(ids, seed=0)
-        assert len(plan.train_ids) == 80 and len(plan.val_ids) == 20
-        assert set(plan.train_ids) | set(plan.val_ids) == set(ids)
-        assert not set(plan.train_ids) & set(plan.val_ids)
+        train_ids, val_ids = data.split(ids, seed=0)
+        assert len(train_ids) == 80 and len(val_ids) == 20
+        assert set(train_ids) | set(val_ids) == set(ids)
+        assert not set(train_ids) & set(val_ids)
 
     def test_kfold_103(self):
         ids = [f"s{i}" for i in range(103)]
-        plan = data.kfold(ids, k=5)
-        sizes = sorted(len(f) for f in plan.folds)
+        folds = data.kfold(ids, k=5)
+        sizes = sorted(len(f) for f in folds)
         assert sizes == [20, 20, 21, 21, 21]
-        combined = [i for f in plan.folds for i in f]
+        combined = [i for f in folds for i in f]
         assert sorted(combined) == sorted(ids)
 
     def test_same_seed_same_plan(self):
         ids = [f"s{i}" for i in range(37)]
-        a = data.split(ids, seed=3)
-        b = data.split(ids, seed=3)
-        assert a.train_ids == b.train_ids and a.val_ids == b.val_ids
+        assert data.split(ids, seed=3) == data.split(ids, seed=3)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one(self, k):

@@ -19,7 +19,6 @@ from fmbff.engine import (
     concat,
     conv2d,
     dropout,
-    dws_conv3x3,
     gelu,
     global_max_pool,
     layer_norm,
@@ -46,7 +45,7 @@ from fmbff.gradcheck import _directional_errors, finite_diff_check
 
 def gap(x):
     """Global average pool, the form the blocks use."""
-    return mean_(x, axis=(2, 3), keepdims=True)
+    return mean_(x, axis=(2, 3))
 
 
 def t4(data):
@@ -206,7 +205,7 @@ class TestDwsConv:
         dw = np.zeros((2, 1, 3, 3), dtype=np.float32)
         dw[:, 0, 1, 1] = 1.0
         pw = np.eye(2, dtype=np.float32).reshape(2, 2, 1, 1)
-        out = dws_conv3x3(x, Tensor(dw), None, Tensor(pw), None)
+        out = conv2d(conv2d(x, Tensor(dw), pad=1, groups=2), Tensor(pw))
         np.testing.assert_allclose(out.data, x.data, atol=1e-7)
 
     def test_constant_interior(self):
@@ -223,9 +222,12 @@ class TestDwsConv:
         db = Tensor(rng.standard_normal(3).astype(np.float32))
         pw = Tensor(rng.standard_normal((5, 3, 1, 1)).astype(np.float32))
         pb = Tensor(rng.standard_normal(5).astype(np.float32))
-        fused = dws_conv3x3(x, dw, db, pw, pb)
-        explicit = conv2d(conv2d(x, dw, db, pad=1, groups=3), pw, pb)
-        np.testing.assert_array_equal(fused.data, explicit.data)
+        two_step = conv2d(conv2d(x, dw, db, pad=1, groups=3), pw, pb)
+        # one dense 3x3 conv with the factored kernel pw[o, c] * dw[c, i, j]
+        kernel = pw.data[:, :, 0, 0, None, None] * dw.data[None, :, 0]
+        bias = pw.data[:, :, 0, 0] @ db.data + pb.data
+        dense = conv2d(x, Tensor(kernel), Tensor(bias), pad=1)
+        np.testing.assert_allclose(two_step.data, dense.data, rtol=1e-5, atol=1e-5)
 
 
 class TestPooling:

@@ -312,15 +312,18 @@ def _seal(body):
     return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
 
 
-def _write_entries(path, entries):
-    """Serialize named arrays in the checkpoint format, in dict order."""
-    buf = bytearray(b"FMBF" + struct.pack("<HI", 1, len(entries)))
-    for name, arr in entries.items():
-        nb = name.encode("utf-8")
-        buf += struct.pack("<H", len(nb)) + nb
-        buf += struct.pack("<BB", 0 if arr.dtype == np.float32 else 1, arr.ndim)
-        buf += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
-    path.write_bytes(_seal(buf))
+def _predict_error(tmp_path, capsys, ckpt):
+    """Run `predict` on a probe image with ``ckpt``, expect exit 3 and one
+    `error:` line without a traceback, and return that line."""
+    image = tmp_path / "probe.ppm"
+    write_image(image, generate_synthetic(1, size=(16, 16), seed=1)[0].image)
+    capsys.readouterr()
+    assert cli.main(["predict", "--image", str(image), "--ckpt", str(ckpt),
+                     "--out", str(tmp_path / "pred")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
 
 
 # One entry replaced by a value of the wrong shape, or by a value that is not
@@ -347,6 +350,16 @@ BAD_VALUES = [
     ("bnstat/enc1.bn1/var", -1.0),
     ("adam/m/head.w", np.nan),
     ("adam/v/head.w", -1.0),
+]
+
+# One config entry replaced by a well-formed value that breaks a model rule.
+INVALID_CONFIGS = [
+    ("config/heads", np.array(3.0)),  # does not divide the bottleneck width 4
+    ("config/heads", np.array(0.0)),
+    ("config/input_h", np.array(17.0)),
+    ("config/encoder_widths", np.array([4.0, 4.0, 4.0, 5.0])),
+    ("config/seed", np.array(-1.0)),
+    ("config/p_exponent", np.array(0.0)),
 ]
 
 
@@ -436,9 +449,10 @@ class TestCheckpoint:
         assert exc.value.offset == 4
 
     def test_entry_writer_matches_format(self, tmp_path):
+        # the writer is the reader's inverse, state and Adam entries included
         _, _, path = self._trained(tmp_path)
         again = tmp_path / "again.fmbf"
-        _write_entries(again, tr.read_checkpoint_entries(path))
+        tr.write_checkpoint_entries(again, tr.read_checkpoint_entries(path))
         assert again.read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize(
@@ -448,7 +462,7 @@ class TestCheckpoint:
         _, _, path = self._trained(tmp_path)
         entries = tr.read_checkpoint_entries(path)
         del entries[missing]
-        _write_entries(path, entries)
+        tr.write_checkpoint_entries(path, entries)
         with pytest.raises(FormatError, match=f"missing checkpoint entry '{missing}'"):
             tr.load_checkpoint(path)
 
@@ -458,17 +472,10 @@ class TestCheckpoint:
         _, _, path = self._trained(tmp_path)
         entries = tr.read_checkpoint_entries(path)
         entries[name] = value
-        _write_entries(path, entries)
+        tr.write_checkpoint_entries(path, entries)
         with pytest.raises(FormatError, match=f"checkpoint entry '{name}'"):
             tr.load_checkpoint(path)
-        image = tmp_path / "probe.ppm"
-        write_image(image, generate_synthetic(1, size=(16, 16), seed=1)[0].image)
-        capsys.readouterr()
-        assert cli.main(["predict", "--image", str(image), "--ckpt", str(path),
-                         "--out", str(tmp_path / "pred")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert name in err and "Traceback" not in err
+        assert name in _predict_error(tmp_path, capsys, path)
 
     @pytest.mark.parametrize("name,value", BAD_VALUES,
                              ids=[f"{name}={value}" for name, value in BAD_VALUES])
@@ -476,16 +483,21 @@ class TestCheckpoint:
         _, _, path = self._trained(tmp_path)
         entries = tr.read_checkpoint_entries(path)
         entries[name].flat[0] = value
-        _write_entries(path, entries)
-        image = tmp_path / "probe.ppm"
-        write_image(image, generate_synthetic(1, size=(16, 16), seed=1)[0].image)
-        capsys.readouterr()
-        assert cli.main(["predict", "--image", str(image), "--ckpt", str(path),
-                         "--out", str(tmp_path / "pred")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert f"checkpoint entry '{name}' holds" in err and "Traceback" not in err
+        tr.write_checkpoint_entries(path, entries)
+        assert f"checkpoint entry '{name}' holds" in _predict_error(tmp_path, capsys, path)
         assert not (tmp_path / "pred" / "probe_prob.npy").exists()
+
+    @pytest.mark.parametrize("name,value", INVALID_CONFIGS,
+                             ids=[f"{n}={v.ravel()[-1]:g}" for n, v in INVALID_CONFIGS])
+    def test_invalid_stored_config_exits_3(self, tmp_path, capsys, name, value):
+        # the config parses, but the model it describes breaks a rule of
+        # ModelConfig.validate: a bad file (exit 3), not a bad option (exit 2)
+        _, _, path = self._trained(tmp_path)
+        entries = tr.read_checkpoint_entries(path)
+        entries[name] = value
+        tr.write_checkpoint_entries(path, entries)
+        err = _predict_error(tmp_path, capsys, path)
+        assert str(path) in err and "stored model config" in err, err
 
     def test_rank_above_four_exits_3(self, tmp_path, capsys):
         # NumPy cannot build an array of rank 65; the format allows up to 255
@@ -497,13 +509,7 @@ class TestCheckpoint:
         body += struct.pack("<H", 5) + b"extra" + struct.pack("<BB", 1, 65)
         body += struct.pack("<65I", *(1,) * 65) + np.zeros(1).tobytes()
         path.write_bytes(_seal(body))
-        image = tmp_path / "probe.ppm"
-        write_image(image, generate_synthetic(1, size=(16, 16), seed=1)[0].image)
-        capsys.readouterr()
-        assert cli.main(["predict", "--image", str(image), "--ckpt", str(path),
-                         "--out", str(tmp_path / "pred")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        err = _predict_error(tmp_path, capsys, path)
         assert "'extra' has rank 65" in err and f"(byte offset {rank_at})" in err, err
 
     def test_unknown_dtype_tag_exits_3(self, tmp_path, capsys):
@@ -513,13 +519,7 @@ class TestCheckpoint:
         tag_at = 10 + 2 + nlen  # the first entry's dtype tag
         body[tag_at] = 7
         path.write_bytes(_seal(body))
-        image = tmp_path / "probe.ppm"
-        write_image(image, generate_synthetic(1, size=(16, 16), seed=1)[0].image)
-        capsys.readouterr()
-        assert cli.main(["predict", "--image", str(image), "--ckpt", str(path),
-                         "--out", str(tmp_path / "pred")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        err = _predict_error(tmp_path, capsys, path)
         assert "unknown dtype tag 7" in err and f"(byte offset {tag_at})" in err, err
 
     def test_largest_seed_round_trips(self, tmp_path):
