@@ -12,10 +12,17 @@ Element types: a leaf is float32 unless its creator names another type
 (gradient checks name float64); every op takes its output type from its
 inputs, and a constant operand (a scalar or plain array) takes the type of
 the tensor it meets.
+
+Inside ``with no_grad():`` ops record no graph: each result keeps no parents
+and no backward closure, so the arrays only a backward pass would read are
+freed at once.  ``model.predict_probs`` runs its batches under it, and
+``gradcheck`` its perturbed and repeated evaluations, none of which is ever
+differentiated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,6 +30,26 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, StateError, UsageError
 
 NORM_EPS = 1e-5  # variance offset of both normalizations
+
+_recording = True  # whether ops record parents and backward closures
+
+
+class no_grad:
+    """Context manager under which ops record no graph.
+
+    A result built inside keeps no parents and no backward closure, so
+    ``backward()`` on it raises ``UsageError``.  Blocks nest, and each
+    restores the setting it found on exit, also when its body raises.
+    """
+
+    def __enter__(self):
+        global _recording
+        self._outer = _recording
+        _recording = False
+
+    def __exit__(self, *exc_info):
+        global _recording
+        _recording = self._outer
 
 
 class Tensor:
@@ -41,8 +68,12 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out._parents = tuple(p for p in parents if isinstance(p, Tensor))
-        out._backward = backward
+        if _recording:
+            out._parents = tuple(p for p in parents if isinstance(p, Tensor))
+            out._backward = backward
+        else:
+            out._parents = ()
+            out._backward = None
         return out
 
     @property
@@ -377,7 +408,13 @@ def _conv_gemm(x, w, sh, sw, ph, pw, ho, wo):
         g1 = g.reshape(n, cout, span) if exact else np.zeros((n, cout, span), g.dtype)
         if not exact:
             g1.reshape(n, cout, -1, wp)[:, :, : ho * sh : sh, : wo * sw : sw] = g
-        dflat = np.matmul(taps[0].T, g1) if kh * kw == 1 else np.zeros_like(flat)
+        if kh * kw > 1:
+            dflat = np.zeros_like(flat)
+        elif cout == 1:
+            # A K = 1 GEMM: the broadcast product gives the same bits, faster.
+            dflat = taps[0].T[None] * g1
+        else:
+            dflat = np.matmul(taps[0].T, g1)
         dw = np.empty((cout, cin, kh * kw), dtype=w.dtype)
         for t in range(kh * kw):
             s = t // kw * wp + t % kw
@@ -444,8 +481,12 @@ def global_max_pool(x):
 # resampling
 
 
+@functools.lru_cache(maxsize=64)
 def _linear_weights(n_in, n_out, dtype):
-    """Align-corners interpolation matrix of shape (n_out, n_in)."""
+    """Align-corners interpolation matrix of shape (n_out, n_in).
+
+    Cached, so every caller shares one read-only array per key.
+    """
     mat = np.zeros((n_out, n_in), dtype=dtype)
     if n_out > 1 and n_in > 1:
         pos = np.arange(n_out, dtype=np.float64) * (n_in - 1) / (n_out - 1)
@@ -458,6 +499,7 @@ def _linear_weights(n_in, n_out, dtype):
     rows = np.arange(n_out)
     np.add.at(mat, (rows, lo), 1 - frac)
     np.add.at(mat, (rows, hi), frac)
+    mat.flags.writeable = False
     return mat
 
 

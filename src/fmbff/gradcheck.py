@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import blocks
-from .engine import ParamStore, Tensor, backward, mul, sum_
+from .engine import ParamStore, Tensor, backward, mul, no_grad, sum_
 from .errors import UsageError
 from .model import ModelConfig, build_model, model_forward
 
@@ -28,15 +28,17 @@ FD_FLOOR = 1e-3
 def _fd_errors(f, t, grad, directions):
     """Relative error between ``grad`` and the central difference of ``f()``
     along each direction.  ``t.data`` is replaced by each perturbed copy in
-    turn, and the original array is put back afterwards."""
+    turn, and the original array is put back afterwards.  The perturbed
+    evaluations run under ``no_grad``: nothing differentiates them."""
     orig = t.data
     errors = []
     try:
         for d in directions:
-            t.data = orig + FD_STEP * d
-            fp = float(f().data.reshape(()))
-            t.data = orig - FD_STEP * d
-            fm = float(f().data.reshape(()))
+            with no_grad():
+                t.data = orig + FD_STEP * d
+                fp = float(f().data.reshape(()))
+                t.data = orig - FD_STEP * d
+                fm = float(f().data.reshape(()))
             numeric = (fp - fm) / (2.0 * FD_STEP)
             analytic = float((grad * d).sum())
             errors.append(
@@ -59,7 +61,8 @@ def finite_diff_check(f, x):
     if not isinstance(x, Tensor) or not x.is_leaf():
         raise UsageError("finite_diff_check requires a leaf Tensor x")
     y = f(x)
-    y2 = f(x)
+    with no_grad():
+        y2 = f(x)
     if not isinstance(y, Tensor) or y.size != 1:
         raise UsageError("f must return a scalar Tensor")
     if float(y.data.reshape(())) != float(y2.data.reshape(())):

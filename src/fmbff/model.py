@@ -23,6 +23,7 @@ from .engine import (
     concat,
     conv2d,
     max_pool2x2,
+    no_grad,
     relu,
     sigmoid,
 )
@@ -255,6 +256,7 @@ def predict_probs(params, images, batch_size):
     Images may have any extent: each one that differs from
     ``config.input_size`` is resized to it, the network runs in batches of
     ``batch_size``, and each map is resized back to its own image's extent.
+    The batches run under ``no_grad``.
     """
     h, w = params.config.input_size
     resized = [
@@ -263,9 +265,10 @@ def predict_probs(params, images, batch_size):
         for image in images
     ]
     probs = []
-    for start in range(0, len(resized), batch_size):
-        x = Tensor(np.stack(resized[start : start + batch_size]))
-        probs.extend(model_forward(x, params, mode="eval").f_out.data)
+    with no_grad():
+        for start in range(0, len(resized), batch_size):
+            x = Tensor(np.stack(resized[start : start + batch_size]))
+            probs.extend(model_forward(x, params, mode="eval").f_out.data)
     return [
         prob if image.shape[1:] == (h, w)
         else bilinear_resize(Tensor(prob[None]), *image.shape[1:]).data[0]

@@ -159,8 +159,8 @@ class TestPredictProbs:
         assert [p.shape for p in probs] == [(1, 16, 16), (1, 24, 10)]
         shrunk = bilinear_resize(Tensor(off_size[None]), 16, 16).data[0]
         out = model_forward(Tensor(np.stack([on_size, shrunk])), params, mode="eval").f_out
-        np.testing.assert_array_equal(probs[0], out.data[0])
-        np.testing.assert_array_equal(
-            probs[1], bilinear_resize(Tensor(out.data[1:]), 24, 10).data[0]
-        )
+        # predict_probs runs under no_grad; the grad-mode path gives the same bytes.
+        assert probs[0].tobytes() == out.data[0].tobytes()
+        back = bilinear_resize(Tensor(out.data[1:]), 24, 10).data[0]
+        assert probs[1].tobytes() == back.tobytes()
 

@@ -7,6 +7,7 @@ import pytest
 from fmbff.engine import (
     _accumulate,
     _erf,
+    _linear_weights,
     BatchNormState,
     ParamStore,
     Tensor,
@@ -26,6 +27,7 @@ from fmbff.engine import (
     max_pool2x2,
     mean_,
     mul,
+    no_grad,
     permute,
     relu,
     reshape,
@@ -181,22 +183,26 @@ def test_conv_kernel_classes(name, xshape, wshape, stride, pad, groups):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_1x1_is_one_gemm(dtype):
     """A 1x1 conv's output and gradients are bytewise those of a single matmul
-    on a view of ``x``, and its forward makes no copy of ``x``."""
+    on a view of ``x``, and its forward makes no copy of ``x``.  With one
+    output channel (the head) dx is computed as a broadcast product, which
+    must match the matmul's bytes too."""
     rng = np.random.default_rng(7)
     x = rng.standard_normal((3, 16, 16, 16)).astype(dtype)
-    w = rng.standard_normal((2, 16, 1, 1)).astype(dtype)
-    g = rng.standard_normal((3, 2, 16, 16)).astype(dtype)
-    xt, wt = Tensor(x, dtype), Tensor(w, dtype)
-    tracemalloc.start()
-    out = conv2d(xt, wt)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < x.nbytes // 2, peak
-    out._backward(g)
-    x3, w2, g3 = x.reshape(3, 16, 256), w.reshape(2, 16), g.reshape(3, 2, 256)
-    assert out.data.tobytes() == np.matmul(w2, x3).tobytes()
-    assert xt.grad.tobytes() == np.matmul(w2.T, g3).tobytes()
-    assert wt.grad.tobytes() == np.matmul(g3, x3.swapaxes(1, 2)).sum(axis=0).tobytes()
+    x3 = x.reshape(3, 16, 256)
+    for cout in (2, 1):
+        w = rng.standard_normal((cout, 16, 1, 1)).astype(dtype)
+        g = rng.standard_normal((3, cout, 16, 16)).astype(dtype)
+        xt, wt = Tensor(x, dtype), Tensor(w, dtype)
+        tracemalloc.start()
+        out = conv2d(xt, wt)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < x.nbytes // 2, peak
+        out._backward(g)
+        w2, g3 = w.reshape(cout, 16), g.reshape(3, cout, 256)
+        assert out.data.tobytes() == np.matmul(w2, x3).tobytes()
+        assert xt.grad.tobytes() == np.matmul(w2.T, g3).tobytes()
+        assert wt.grad.tobytes() == np.matmul(g3, x3.swapaxes(1, 2)).sum(axis=0).tobytes()
 
 
 class TestDwsConv:
@@ -278,6 +284,17 @@ class TestBilinearResize:
         backward(sum_(mul(out, upstream)))
         np.testing.assert_array_equal(out.data, x.data)
         np.testing.assert_array_equal(x.grad, upstream)
+
+    def test_cached_weights_read_only(self):
+        """Every resize shares one cached matrix per key; a caller cannot
+        write to it, so a repeated resize gives the same bytes."""
+        x = Tensor(np.random.default_rng(4).random((1, 2, 3, 5)).astype(np.float32))
+        first = bilinear_resize(x, 7, 4).data
+        mat = _linear_weights(3, 7, x.dtype)
+        assert _linear_weights(3, 7, x.dtype) is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 2.0
+        assert bilinear_resize(x, 7, 4).data.tobytes() == first.tobytes()
 
 
 class TestNormalize:
@@ -574,6 +591,37 @@ class TestBackward:
             tracemalloc.stop()
         assert peak < 8 * 2**20, f"backward peaked at {peak / 2**20:.1f} MiB"
         assert x.grad is not None and t.grad is None and loss.grad is None
+
+
+class TestNoGrad:
+    def test_result_keeps_no_graph(self):
+        x = Tensor(np.arange(3.0))
+        outside = sum_(mul(x, x))
+        with no_grad():
+            y = sum_(mul(x, x))
+        assert y._parents == () and y._backward is None
+        assert y.data.tobytes() == outside.data.tobytes()
+        with pytest.raises(UsageError):
+            backward(y)
+        backward(outside)  # a graph built before the block is intact
+        np.testing.assert_array_equal(x.grad, 2 * x.data)
+
+    def test_nested_block_restores_recording(self):
+        x = Tensor(np.ones(3))
+        with no_grad():
+            with no_grad():
+                pass
+            assert mul(x, x)._backward is None  # the outer block still holds
+        backward(sum_(mul(x, x)))
+        np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
+
+    def test_raising_block_restores_recording(self):
+        with pytest.raises(DimensionError):
+            with no_grad():
+                add(Tensor(np.ones(2)), Tensor(np.ones(3)))
+        x = Tensor(np.ones(3))
+        backward(sum_(mul(x, x)))
+        np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
 
 
 class TestElementType:
