@@ -6,7 +6,9 @@ inputs; ``backward(loss)`` runs the whole reverse sweep and frees each
 interior gradient once its closure has consumed it, so only leaves hold
 ``.grad`` afterwards and a step's memory is bounded by what the rest of the
 sweep still needs.  Closures keep compact state (bool masks rather than
-float ones) for the same reason.
+float ones) for the same reason, and a gradient that a closure computes
+afresh becomes its input's ``.grad`` without a copy; only a view of the
+gradient being propagated (a pass-through, a slice, a broadcast) is copied.
 
 Element types: a leaf is float32 unless its creator names another type
 (gradient checks name float64); every op takes its output type from its
@@ -30,6 +32,15 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, StateError, UsageError
 
 NORM_EPS = 1e-5  # variance offset of both normalizations
+# Working set of one chunk of a blocked loop (depthwise conv, dropout): small
+# enough to stay in a core's L2 cache while the loop makes several passes.
+_CACHE_BYTES = 256 * 1024
+# Elements per ufunc buffer inside the depthwise conv.  NumPy runs a ufunc
+# whose operands do not flatten to one loop (a row-strided slice times one
+# weight per row) through buffers of this size; at the default 8192 the
+# buffers outgrow L1, and on rows shorter than that (planes of 16x16 and
+# below at batch 8) the multiply ran 2-3x slower.
+_UFUNC_BUFSIZE = 1024
 
 _recording = True  # whether ops record parents and backward closures
 
@@ -106,13 +117,19 @@ class Tensor:
 
 
 def _accumulate(t, g):
-    # The first gradient is copied, never borrowed: ``g`` may be a view or a
-    # broadcast, and its layout would send later BLAS calls and reductions
-    # down other paths, changing the low bits of the result.
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
-    else:
+    # A first gradient that a closure computed afresh becomes ``t.grad`` as it
+    # is.  Anything else is copied: a view or a broadcast would send later BLAS
+    # calls and reductions down other paths and change the low bits, and
+    # ``backward()`` marks the gradient it propagates read-only, so a
+    # pass-through's ``g`` (and every view of it) is copied rather than shared
+    # by two tensors.  A closure never hands one fresh array to two targets.
+    if t.grad is not None:
         t.grad += g
+    elif (g.flags.c_contiguous and g.flags.writeable and g.dtype == t.data.dtype
+          and g.shape == t.shape):
+        t.grad = g
+    else:
+        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
 
 
 def _unbroadcast(g, shape):
@@ -167,6 +184,7 @@ def backward(loss):
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
+            node.grad.flags.writeable = False  # see ``_accumulate``
             node._backward(node.grad)
             node.grad = None
 
@@ -275,9 +293,11 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
 
     ``groups`` is 1 (dense) or ``Cin == Cout`` (depthwise); other grouped
     convs raise ``ConfigurationError``.  Two lowerings serve every kernel,
-    stride and padding, and neither builds a full im2col buffer: a dense conv
-    is one batched GEMM per kernel tap (``_conv_gemm``), a depthwise conv one
-    banded GEMM per kernel row (``_conv_depthwise``).
+    stride and padding, and neither builds a full im2col buffer: both read
+    kernel taps as shifted slices of a flat padded buffer.  A dense conv is
+    one batched GEMM per tap (``_conv_gemm``); a depthwise conv is one
+    per-channel multiply-add per tap, over chunks of channels that stay in
+    cache (``_conv_depthwise``).
     """
     if x.ndim != 4:
         raise DimensionError(f"conv2d input must be 4-D, got shape {x.shape}")
@@ -322,55 +342,82 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     return Tensor._from_op(out, parents, back)
 
 
-def _conv_depthwise(x, w, sh, sw, ph, pw, ho, wo):
-    """Depthwise conv as one banded GEMM per kernel row.
+class _small_ufunc_buffers:
+    """Context manager: ufunc buffers of ``_UFUNC_BUFSIZE`` elements inside,
+    the size it found restored on exit.  Elementwise results do not depend
+    on it."""
 
-    ``band[c, i, p, q] = w[c, 0, i, j]`` where input column
-    ``p = q*sw + j - pw`` feeds output column ``q``; columns that fall in the
-    padding have no entry.  Output row ``r`` takes input row ``r*sh + i - ph``
-    through ``band[:, i]``; rows that fall in the padding are skipped.
+    def __enter__(self):
+        self._outer = np.setbufsize(_UFUNC_BUFSIZE)
+
+    def __exit__(self, *exc_info):
+        np.setbufsize(self._outer)
+
+
+def _conv_depthwise(x, w, sh, sw, ph, pw, ho, wo):
+    """Depthwise conv as per-channel multiply-adds of shifted slices.
+
+    Channel ``c``'s N padded planes lie end to end in one row of a flat
+    buffer, ``(C, N*Hp*Wp + tail)``.  On that row's stride-1 grid, tap
+    ``t = (i, j)`` reads the slice that starts at ``i*Wp + j``, so the grid is
+    ``sum_t w[c, t] * slice_t``; grid rows that straddle two planes, and what
+    a stride skips, are computed and dropped.  dx is the scatter-add of
+    ``w[c, t] * dgrid`` into the same slices, and ``dw[c, t]`` the dot product
+    of ``dgrid[c]`` with slice ``t``.  Channels go in chunks of about
+    ``_CACHE_BYTES``, padded afresh in each pass, so a chunk's rows stay in
+    cache across the taps and no padded copy of ``x`` outlives the call.
     """
     n, c, h, wd = x.shape
     kh, kw = w.shape[2:]
-    band = np.zeros((c, kh, wd, wo), dtype=x.dtype)
-    taps = []  # (kernel column, input columns, output columns) inside x
-    for j in range(kw):
-        q = np.arange(wo)
-        p = q * sw + j - pw
-        inside = (p >= 0) & (p < wd)
-        taps.append((j, p[inside], q[inside]))
-        band[:, :, p[inside], q[inside]] = w[:, 0, :, j, None]
+    hp, wp = h + 2 * ph, wd + 2 * pw
+    span = n * hp * wp
+    shifts = [i * wp + j for i in range(kh) for j in range(kw)]
+    taps = w.reshape(c, kh * kw)
+    m = max(1, min(c, _CACHE_BYTES // (span * x.itemsize)))
+    chunks = [(lo, min(m, c - lo)) for lo in range(0, c, m)]
 
-    rows = []  # (kernel row, output rows, input rows) inside x
-    for i in range(kh):
-        lo = max(0, -((i - ph) // sh))
-        hi = min(ho, (h - 1 - i + ph) // sh + 1)
-        if lo < hi:
-            start = lo * sh + i - ph
-            rows.append((i, slice(lo, hi), slice(start, start + sh * (hi - lo - 1) + 1, sh)))
+    def planes(a, k):  # the first k rows of a chunk buffer as (k, N, Hp, Wp)
+        return a[:k, :span].reshape(k, n, hp, wp)
 
-    out = np.zeros((n, c, ho, wo), dtype=x.dtype)
-    for i, r_out, r_in in rows:
-        out[:, :, r_out] += np.matmul(x[:, :, r_in], band[:, i])
+    def load(pad, lo, k):
+        planes(pad, k)[:, :, ph : ph + h, pw : pw + wd] = x[:, lo : lo + k].transpose(1, 0, 2, 3)
+
+    picked = np.s_[:, :, : ho * sh : sh, : wo * sw : sw]
+    pad = np.zeros((m, span + shifts[-1]), dtype=x.dtype)
+    grid = np.empty((m, span), dtype=x.dtype)
+    tmp = np.empty_like(grid)
+    out = np.empty((n, c, ho, wo), dtype=x.dtype)
+    with _small_ufunc_buffers():
+        for lo, k in chunks:
+            load(pad, lo, k)
+            np.multiply(pad[:k, :span], taps[lo : lo + k, :1], out=grid[:k])
+            for t in range(1, kh * kw):
+                s = shifts[t]
+                np.multiply(pad[:k, s : s + span], taps[lo : lo + k, t : t + 1], out=tmp[:k])
+                grid[:k] += tmp[:k]
+            out[:, lo : lo + k] = planes(grid, k)[picked].transpose(1, 0, 2, 3)
 
     def grads(g):
-        dx = np.zeros_like(x)
-        dw = np.zeros_like(w)
-        band_t = np.ascontiguousarray(band.swapaxes(2, 3))
-        dband = np.empty((c, wd, wo), dtype=x.dtype)
-        tmp = np.empty_like(dband)
-        for i, r_out, r_in in rows:
-            g_rows = g[:, :, r_out]
-            dx[:, :, r_in] += np.matmul(g_rows, band_t[:, i])
-            # Sum over the batch one sample at a time from zero, the order
-            # ``.sum(axis=0)`` uses, without building the (N, C, W, Wo) product.
-            dband.fill(0)
-            for k in range(n):
-                np.matmul(x[k, :, r_in].swapaxes(1, 2), g_rows[k], out=tmp)
-                dband += tmp
-            for j, p, q in taps:
-                dw[:, 0, i, j] = dband[:, p, q].sum(axis=1)
-        return dx, dw
+        dx = np.empty(x.shape, dtype=x.dtype)
+        dw = np.empty((c, kh * kw), dtype=w.dtype)
+        pad = np.zeros((m, span + shifts[-1]), dtype=x.dtype)
+        dgrid = np.zeros((m, span), dtype=x.dtype)  # zero off the output pixels
+        dpad = np.empty_like(pad)
+        tmp = np.empty_like(dgrid)
+        with _small_ufunc_buffers():
+            for lo, k in chunks:
+                load(pad, lo, k)
+                planes(dgrid, k)[picked] = g[:, lo : lo + k].transpose(1, 0, 2, 3)
+                dg = dgrid[:k]
+                np.multiply(dg, taps[lo : lo + k, :1], out=dpad[:k, :span])
+                dpad[:k, span:] = 0
+                for t, s in enumerate(shifts):
+                    if t:
+                        np.multiply(dg, taps[lo : lo + k, t : t + 1], out=tmp[:k])
+                        dpad[:k, s : s + span] += tmp[:k]
+                    dw[lo : lo + k, t] = np.matmul(dg[:, None], pad[:k, s : s + span, None])[:, 0, 0]
+                dx[:, lo : lo + k] = planes(dpad, k)[:, :, ph : ph + h, pw : pw + wd].transpose(1, 0, 2, 3)
+        return dx, dw.reshape(w.shape)
 
     return out, grads
 
@@ -762,10 +809,18 @@ def dropout(x, p, mode, rng=None):
         raise ConfigurationError(f"unknown mode {mode!r}")
     if rng is None:
         raise UsageError("train-mode dropout requires an rng")
-    # The float mask is rebuilt as ``keep * scale`` in each pass so the
-    # closure holds one byte per element; the values equal those of
-    # ``keep.astype(dtype) / (1 - p)`` bit for bit.
-    keep = rng.random(x.shape) >= p
+    # The mask is drawn in chunks that stay in cache: the same stream as one
+    # ``rng.random(x.shape)``, without its float64 array.  The float mask is
+    # rebuilt as ``keep * scale`` in each pass so the closure holds one byte
+    # per element; the values equal those of ``keep.astype(dtype) / (1 - p)``
+    # bit for bit.
+    keep = np.empty(x.shape, dtype=bool)
+    flat = keep.reshape(-1)
+    draws = np.empty(max(1, min(flat.size, _CACHE_BYTES // 8)))
+    for lo in range(0, flat.size, draws.size):
+        chunk = draws[: flat.size - lo]
+        rng.random(out=chunk)
+        np.greater_equal(chunk, p, out=flat[lo : lo + chunk.size])
     scale = np.ones((), dtype=x.data.dtype) / (1.0 - p)
     return Tensor._from_op(
         x.data * (keep * scale), (x,), lambda g: _accumulate(x, g * (keep * scale))

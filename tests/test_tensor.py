@@ -147,6 +147,8 @@ KERNEL_CLASS_CASES = [
     ("dw_pad0x2", (2, 3, 5, 6), (3, 1, 3, 3), (1, 1), (0, 2), 3),
     ("dw_pad3", (1, 2, 4, 5), (2, 1, 3, 3), (1, 1), (3, 3), 2),
     ("dw_5x3", (2, 3, 6, 5), (3, 1, 5, 3), (1, 1), (2, 1), 3),
+    # rows of 16 * 15 * 15 float64 values: channel chunks of 9, 9 and 2
+    ("dw_chunks", (16, 20, 1, 1), (20, 1, 3, 3), (2, 1), (7, 7), 20),
 ]
 
 
@@ -537,6 +539,24 @@ class TestDropout:
         assert out.data.tobytes() == (data * mask).tobytes()
         assert x.grad.tobytes() == (w * mask).tobytes()
 
+    def test_chunked_mask_is_one_draw(self):
+        """A mask drawn over several chunks, the last one partial, is the mask
+        of one ``rng.random`` call and leaves the generator in its state."""
+        shape = (3, 5, 100, 100)
+        rng = np.random.default_rng(22)
+        data = rng.uniform(0.5, 1.5, shape).astype(np.float32)
+        w = rng.standard_normal(shape).astype(np.float32)
+        ref, drawn = np.random.default_rng(9), np.random.default_rng(9)
+        keep = ref.random(shape) >= 0.3
+        x = Tensor(data)
+        out = dropout(x, 0.3, "train", drawn)
+        backward(sum_(mul(out, w)))
+        assert drawn.bit_generator.state == ref.bit_generator.state
+        assert (out.data != 0).tobytes() == keep.tobytes()
+        scaled = keep * (np.ones((), np.float32) / 0.7)
+        assert out.data.tobytes() == (data * scaled).tobytes()
+        assert x.grad.tobytes() == (w * scaled).tobytes()
+
     def test_bad_p(self):
         with pytest.raises(ConfigurationError):
             dropout(Tensor(np.zeros(1)), 1.0, "train", np.random.default_rng(0))
@@ -591,6 +611,46 @@ class TestBackward:
             tracemalloc.stop()
         assert peak < 8 * 2**20, f"backward peaked at {peak / 2**20:.1f} MiB"
         assert x.grad is not None and t.grad is None and loss.grad is None
+
+
+class TestGradientHandoff:
+    """``_accumulate`` keeps a gradient that a closure computed afresh and
+    copies one that shares memory with the gradient being propagated."""
+
+    @pytest.mark.parametrize("op", [add, sub])
+    def test_operands_hold_separate_grads(self, op):
+        rng = np.random.default_rng(40)
+        a, b = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4)))
+        backward(sum_(mul(op(a, b), rng.standard_normal((3, 4)))))
+        assert not np.shares_memory(a.grad, b.grad)
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda t: reshape(t, (4, 3)), lambda t: dropout(t, 0.5, "eval"),
+         lambda t: bilinear_resize(t, 3, 4)],
+        ids=["reshape", "dropout_eval", "resize_same_size"],
+    )
+    def test_pass_through_copies_incoming(self, op):
+        x = Tensor(np.random.default_rng(41).standard_normal((1, 1, 3, 4)))
+        y = op(x)
+        incoming, inner = [], y._backward
+        y._backward = lambda g: (incoming.append(g), inner(g))
+        backward(sum_(mul(y, 2.0)))
+        assert incoming and not np.shares_memory(x.grad, incoming[0])
+
+    def test_conv_1x1_dx_not_copied(self):
+        """The 1x1 conv's dx GEMM result becomes ``x.grad`` with no second
+        buffer: the backward's peak stays under one and a half of dx."""
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.standard_normal((4, 16, 32, 32)).astype(np.float32))
+        out = conv2d(x, Tensor(rng.standard_normal((8, 16, 1, 1)).astype(np.float32)))
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tracemalloc.start()
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert x.grad.shape == x.shape
+        assert peak < 1.5 * x.data.nbytes, peak
 
 
 class TestNoGrad:
