@@ -1,15 +1,17 @@
 """Parameterized forward passes for the four architecture blocks.
 
-Each block is a plain dataclass with one field per layer, registered in a
-ParamStore (so the optimizer and checkpointing see every weight): a conv
-field is a (weight, bias) pair, a norm field a (scale, shift) pair and a
-batch-norm field adds its running statistics.  A pure forward function goes
-with each.  ``ModelConfig.validate`` checks the hyperparameters' rules (p, heads,
-shuffle groups); ``build`` takes them as given.  Channel contracts:
+Each block is a plain dataclass that holds its layers and its
+hyperparameters, nothing else.  Every layer is registered in a ParamStore (so
+the optimizer and checkpointing see every weight): a conv field is a
+(weight, bias) pair, a norm field a (scale, shift) pair and a batch-norm field
+adds its running statistics.  Channel counts are not stored: they are read
+from the weights' shapes.  A pure forward function goes with each block.
+``ModelConfig.validate`` checks the hyperparameters' rules (p, heads, shuffle
+groups); ``build`` takes them as given.  Channel contracts:
 
   * FMCAB keeps N x C x H x W unchanged.
   * BiFFM fuses a decoder map (N x Cd x H x W) with a skip (any size) into
-    N x 2*width x H x W, where ``width`` is the entry projection width.
+    N x 2*width x H x W, where ``width`` is the entry projections' width.
   * ViTM keeps the bottleneck shape unchanged (residual).
   * FRM maps N x Cin x H x W to N x (Cout + Cin) x H' x W', doubling the
     spatial extents when ``upsample`` is set.
@@ -53,7 +55,9 @@ def _gap(x):  # global average pool
     return mean_(x, axis=(2, 3))
 
 
-def _check_channels(x, expected, what):
+def _check_channels(x, conv, what):
+    """Check that ``x`` has the input width of ``conv``, a (weight, bias) pair."""
+    expected = conv[0].shape[1]
     if x.shape[1] != expected:
         raise DimensionError(
             f"{what} expects {expected} channels, got {x.shape[1]} (axis 1)"
@@ -66,7 +70,6 @@ def _check_channels(x, expected, what):
 
 @dataclass
 class FmcabParams:
-    channels: int
     p_exponent: float
     ln: tuple
     conv3a: tuple
@@ -86,7 +89,6 @@ class FmcabParams:
         r = max(c // reduction, 1)
         p = prefix
         return cls(
-            channels=c,
             p_exponent=float(p_exponent),
             ln=store.norm(f"{p}.ln", c),
             conv3a=store.conv(f"{p}.conv3a", c, c, 3, 3),
@@ -113,7 +115,7 @@ def focal_modulation(i2, params):
 
 
 def fmcab_forward(f_in, params):
-    _check_channels(f_in, params.channels, "fmcab_forward")
+    _check_channels(f_in, params.conv3a, "fmcab_forward")
     i1 = relu(
         conv2d(conv2d(layer_norm(f_in, *params.ln), *params.conv3a, pad=1), *params.conv1a)
     )
@@ -133,9 +135,6 @@ def fmcab_forward(f_in, params):
 
 @dataclass
 class BiffmParams:
-    in_channels_d: int
-    in_channels_s: int
-    width: int
     shuffle_groups: int
     proj_a: tuple
     proj_b: tuple
@@ -152,9 +151,6 @@ class BiffmParams:
         c = cd if width is None else width
         p = prefix
         return cls(
-            in_channels_d=cd,
-            in_channels_s=cs,
-            width=c,
             shuffle_groups=shuffle_groups,
             proj_a=store.conv(f"{p}.proj_a", c, cd, 1, 1),
             proj_b=store.conv(f"{p}.proj_b", c, cs, 1, 1),
@@ -172,13 +168,13 @@ class BiffmParams:
 
     @property
     def out_channels(self):
-        return 2 * self.width
+        return 2 * self.proj_a[0].shape[0]
 
 
 def biffm_forward(d, s, params, return_gates=False):
     """Dual-path gated fusion of a decoder map with a (resized) skip map."""
-    _check_channels(d, params.in_channels_d, "biffm_forward decoder input")
-    _check_channels(s, params.in_channels_s, "biffm_forward skip input")
+    _check_channels(d, params.proj_a, "biffm_forward decoder input")
+    _check_channels(s, params.proj_b, "biffm_forward skip input")
     h, w = d.shape[2], d.shape[3]
 
     pd = conv2d(d, *params.proj_a)
@@ -211,7 +207,6 @@ def biffm_forward(d, s, params, return_gates=False):
 
 @dataclass
 class VitmParams:
-    channels: int
     heads: int
     wq: tuple
     wk: tuple
@@ -226,7 +221,6 @@ class VitmParams:
         c = channels
         p = prefix
         return cls(
-            channels=c,
             heads=heads,
             wq=store.conv(f"{p}.wq", c, c, 1, 1),
             wk=store.conv(f"{p}.wk", c, c, 1, 1),
@@ -240,7 +234,7 @@ class VitmParams:
 
 def tsa_forward(f_in, params, return_attn=False):
     """Channel self-attention over position-encoded tokens (c x c similarity)."""
-    _check_channels(f_in, params.channels, "tsa_forward")
+    _check_channels(f_in, params.wq, "tsa_forward")
     n, c, h, w = f_in.shape
     hw = h * w
     if params.pos_embed.shape != (hw, c):
@@ -269,7 +263,7 @@ def tsa_forward(f_in, params, return_attn=False):
 
 def gsa_forward(f_in, params, return_attn=False):
     """Spatial self-attention with an (h*w) x (h*w) position-similarity map."""
-    _check_channels(f_in, params.channels, "gsa_forward")
+    _check_channels(f_in, params.gsa_embed_c, "gsa_forward")
     n, c, h, w = f_in.shape
     hw = h * w
     c2 = c // 2
@@ -301,8 +295,6 @@ def vitm_forward(f_in, params):
 
 @dataclass
 class FrmParams:
-    in_channels: int
-    branch_channels: int
     upsample: bool
     dw: tuple
     pw: tuple
@@ -312,8 +304,6 @@ class FrmParams:
     def build(cls, store, prefix, cin, cout, upsample):
         p = prefix
         return cls(
-            in_channels=cin,
-            branch_channels=cout,
             upsample=upsample,
             dw=store.conv(f"{p}.dw", cin, 1, 3, 3),
             pw=store.conv(f"{p}.pw", cout, cin, 1, 1),
@@ -322,11 +312,11 @@ class FrmParams:
 
     @property
     def out_channels(self):
-        return self.branch_channels + self.in_channels
+        return sum(self.pw[0].shape[:2])  # branch width + input width
 
 
 def frm_forward(x, params, mode, rng=None):
-    _check_channels(x, params.in_channels, "frm_forward")
+    _check_channels(x, params.pw, "frm_forward")
     h, w = x.shape[2], x.shape[3]
     if params.upsample:
         oh, ow = 2 * h, 2 * w
@@ -335,7 +325,7 @@ def frm_forward(x, params, mode, rng=None):
         oh, ow = h, w
         t = x
     t = dropout(t, FRM_DROP_P, mode, rng)
-    t = conv2d(conv2d(t, *params.dw, pad=1, groups=params.in_channels), *params.pw)
+    t = conv2d(conv2d(t, *params.dw, pad=1, groups=x.shape[1]), *params.pw)
     t = relu(t)
     t = batch_norm(t, *params.bn, mode)
     identity = bilinear_resize(x, oh, ow)

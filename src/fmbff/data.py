@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,6 @@ class Sample:
                 f"sample {self.id!r}: image {self.image.shape} and mask "
                 f"{self.mask.shape} extents differ"
             )
-        values = np.unique(self.mask)
-        if not np.all(np.isin(values, (0.0, 1.0))):
-            raise ValidationError(f"mask is not binary (values {values[:5]}...)")
 
 
 # ---------------------------------------------------------------------------
@@ -249,48 +247,37 @@ def kfold(ids, k=5):
 # PGM / PPM I/O
 
 
+_CHANNELS = {b"P6": 3, b"P5": 1}  # PPM image, PGM mask
+# The header's four tokens (magic, width, height, maxval), each after any
+# whitespace and '#' comments; a token at the end of the file is empty.
+_HEADER = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]\S*|)" * 4)
+
+
 def _read_netpbm(path, magic_expected):
     with open(path, "rb") as fh:
         blob = fh.read()
-    pos = 0
-
-    def token():
-        nonlocal pos
-        while pos < len(blob):
-            if blob[pos : pos + 1].isspace():
-                pos += 1
-            elif blob[pos : pos + 1] == b"#":
-                while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ParseError(f"{path}: truncated header", offset=start)
-        return blob[start:pos]
-
-    magic = token()
+    header = _HEADER.match(blob)
+    magic = header[1]
+    if not magic:
+        raise ParseError(f"{path}: truncated header", offset=header.end(1))
     if magic != magic_expected:
         raise ParseError(
             f"{path}: bad magic {magic!r}, expected {magic_expected!r}", offset=0
         )
-    fields = []  # (value, byte offset) of width, height, maxval
-    try:
-        for _ in range(3):
-            field = token()
-            fields.append((int(field), pos - len(field)))
-    except ValueError as exc:
-        raise ParseError(f"{path}: non-numeric header field", offset=pos) from exc
-    (width, width_at), (height, height_at), (maxval, _) = fields
-    for name, value, offset in (("width", width, width_at), ("height", height, height_at)):
+    values = []
+    for k in (2, 3, 4):
+        try:
+            values.append(int(header[k]))
+        except ValueError:  # an empty field, at the end of the file, lands here too
+            raise ParseError(f"{path}: non-numeric header field", offset=header.end(k)) from None
+    width, height, maxval = values
+    for k, name, value in ((2, "width", width), (3, "height", height)):
         if value < 1:
-            raise ParseError(f"{path}: {name} {value} must be at least 1", offset=offset)
+            raise ParseError(f"{path}: {name} {value} must be at least 1", offset=header.start(k))
     if maxval != 255:
-        raise ParseError(f"{path}: unsupported maxval {maxval}", offset=pos)
-    pos += 1  # single whitespace byte after maxval
-    channels = 3 if magic_expected == b"P6" else 1
+        raise ParseError(f"{path}: unsupported maxval {maxval}", offset=header.end())
+    pos = header.end() + 1  # single whitespace byte after maxval
+    channels = _CHANNELS[magic_expected]
     expected = width * height * channels
     payload = blob[pos : pos + expected]
     if len(payload) != expected:
@@ -302,15 +289,20 @@ def _read_netpbm(path, magic_expected):
     return data
 
 
+def _write_netpbm(path, planes, magic):
+    """Write a CxHxW map in [0, 1] as a binary PPM or PGM file (maxval 255)."""
+    c, h, w = planes.shape
+    if c != _CHANNELS[magic]:
+        raise ValidationError(f"{magic.decode()} needs {_CHANNELS[magic]} channel(s), got {c}")
+    quantized = np.rint(np.clip(planes, 0, 1) * 255).astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(b"%s\n%d %d\n255\n" % (magic, w, h))
+        fh.write(quantized.transpose(1, 2, 0).tobytes())
+
+
 def write_image(path, image):
     """Write a 3xHxW float image in [0,1] as binary PPM (P6, maxval 255)."""
-    c, h, w = image.shape
-    if c != 3:
-        raise ValidationError(f"PPM image must have 3 channels, got {c}")
-    quantized = np.rint(np.clip(image, 0, 1) * 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(quantized.transpose(1, 2, 0).tobytes())
+    _write_netpbm(path, image, b"P6")
 
 
 def read_image(path):
@@ -321,13 +313,7 @@ def read_image(path):
 
 def write_mask(path, mask):
     """Write a 1xHxW binary (or probability) map as binary PGM (P5)."""
-    c, h, w = mask.shape
-    if c != 1:
-        raise ValidationError(f"PGM mask must have 1 channel, got {c}")
-    quantized = np.rint(np.clip(mask[0], 0, 1) * 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(quantized.tobytes())
+    _write_netpbm(path, mask, b"P5")
 
 
 def read_mask(path):
@@ -355,8 +341,13 @@ def write_dataset(root, samples):
 def load_dataset(root):
     manifest = os.path.join(root, "manifest.txt")
     if os.path.exists(manifest):
+        first_line = {}  # id -> the manifest line that lists it
         with open(manifest) as fh:
-            ids = [line.strip() for line in fh if line.strip()]
+            for number, sid in enumerate((line.strip() for line in fh), 1):
+                if sid and first_line.setdefault(sid, number) != number:
+                    raise ParseError(f"{manifest}: id {sid!r} on line {number} repeats line "
+                                     f"{first_line[sid]}")
+        ids = list(first_line)
     else:
         ids = sorted(
             os.path.splitext(name)[0]

@@ -581,10 +581,6 @@ class BatchNormState:
         self.running_var = np.ones(channels, dtype=np.float64)
         self.count = 0
 
-    @property
-    def populated(self):
-        return self.count > 0
-
     def update(self, mean, var):
         if self.count == 0:
             self.running_mean = np.asarray(mean, dtype=np.float64).copy()
@@ -610,9 +606,9 @@ def _standardize(x, axes, eps):
     return mul(xc, pow_(add(var, float(eps)), -0.5)), mu, var
 
 
-def layer_norm(x, scale, shift, eps=NORM_EPS):
+def layer_norm(x, scale, shift):
     """Normalize over C,H,W per sample, then apply the channel affine."""
-    y, _, _ = _standardize(x, (1, 2, 3), eps)
+    y, _, _ = _standardize(x, (1, 2, 3), NORM_EPS)
     return _affine(y, scale, shift)
 
 
@@ -622,7 +618,7 @@ def batch_norm(x, scale, shift, state, mode):
         y, mu, var = _standardize(x, (0, 2, 3), NORM_EPS)
         state.update(mu.data.reshape(-1), var.data.reshape(-1))
     elif mode == "eval":
-        if not state.populated:
+        if state.count == 0:
             raise StateError("eval-mode batch norm before any training batch")
         rm = state.running_mean.astype(x.data.dtype).reshape(1, -1, 1, 1)
         rs = (1.0 / np.sqrt(state.running_var + NORM_EPS)).astype(x.data.dtype)

@@ -36,9 +36,9 @@ def _fd_errors(f, t, grad, directions):
         for d in directions:
             with no_grad():
                 t.data = orig + FD_STEP * d
-                fp = float(f().data.reshape(()))
+                fp = f().item()
                 t.data = orig - FD_STEP * d
-                fm = float(f().data.reshape(()))
+                fm = f().item()
             numeric = (fp - fm) / (2.0 * FD_STEP)
             analytic = float((grad * d).sum())
             errors.append(
@@ -65,7 +65,7 @@ def finite_diff_check(f, x):
         y2 = f(x)
     if not isinstance(y, Tensor) or y.size != 1:
         raise UsageError("f must return a scalar Tensor")
-    if float(y.data.reshape(())) != float(y2.data.reshape(())):
+    if y.item() != y2.item():
         raise UsageError("f is not deterministic; finite differences are invalid")
 
     x.grad = None

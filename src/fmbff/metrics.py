@@ -10,7 +10,6 @@ zero has no error pixels of the kinds it penalizes, so it reports 1.0.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +47,6 @@ def confusion(pred, gt):
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
         raise DimensionError(f"pred {pred.shape} and gt {gt.shape} differ")
-    if pred.ndim == 3:
-        pred, gt = pred[None], gt[None]
     binary = pred >= THRESHOLD
     truth = gt >= THRESHOLD
     out = []
@@ -125,29 +122,21 @@ def evaluate(pred_by_id, gt_by_id, folds=None, include_precision=False):
 
 def to_text(report: MetricsReport) -> str:
     cols = report.columns
-    buf = io.StringIO()
     width = max([len(i) for i in report.per_image] + [9])
+
+    def line(label, values):
+        return label.ljust(width) + "".join(f"  {v:8.4f}" for v in values) + "\n"
+
     header = "id".ljust(width) + "".join(f"  {c:>8}" for c in cols)
-    buf.write(header + "\n")
-    buf.write("-" * len(header) + "\n")
-    for sid, row in report.per_image.items():
-        buf.write(sid.ljust(width) + "".join(f"  {row[c]:8.4f}" for c in cols) + "\n")
-    buf.write("-" * len(header) + "\n")
-    mean_row = "mean".ljust(width)
-    std_row = "std".ljust(width)
-    for c in cols:
-        mean, std = report.aggregate[c]
-        mean_row += f"  {mean:8.4f}"
-        std_row += f"  {std:8.4f}"
-    buf.write(mean_row + "\n")
-    buf.write(std_row + "\n")
-    if report.folds:
-        for i, (_ids, agg) in enumerate(report.folds):
-            line = f"fold{i + 1}".ljust(width)
-            for c in cols:
-                line += f"  {agg[c][0]:8.4f}"
-            buf.write(line + "\n")
-    return buf.getvalue()
+    rule = "-" * len(header) + "\n"
+    lines = [header + "\n", rule]
+    lines += [line(sid, [row[c] for c in cols]) for sid, row in report.per_image.items()]
+    lines.append(rule)
+    lines += [line(label, [report.aggregate[c][k] for c in cols])
+              for k, label in enumerate(("mean", "std"))]
+    lines += [line(f"fold{i + 1}", [agg[c][0] for c in cols])
+              for i, (_ids, agg) in enumerate(report.folds or ())]
+    return "".join(lines)
 
 
 def to_csv(report: MetricsReport) -> str:

@@ -9,6 +9,7 @@ previous skip, so skip widths are cumulative over the encoder widths.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,12 +92,11 @@ class ModelConfig:
         return (self.input_size[0] // 16, self.input_size[1] // 16)
 
     def skip_widths(self):
-        widths = []
-        total = 0
-        for w in self.encoder_widths:
-            total += w
-            widths.append(total)
-        return widths
+        return list(itertools.accumulate(self.encoder_widths))
+
+    def skip_index(self, i):
+        """Which aggregated skip decoder block ``i`` (0-based) fuses."""
+        return 3 if self.skip_mode == "literal_s4" else 3 - i
 
 
 @dataclass
@@ -170,7 +170,7 @@ def build_model(config: ModelConfig) -> ModelParams:
     prev = config.encoder_widths[3]
     for i, cout in enumerate(config.decoder_widths):
         p = f"dec{i + 1}"
-        skip_c = skip_widths[3] if config.skip_mode == "literal_s4" else skip_widths[3 - i]
+        skip_c = skip_widths[config.skip_index(i)]
         frm_up = blocks.FrmParams.build(store, f"{p}.frm_up", prev, cout, upsample=True)
         u_channels = frm_up.out_channels
         biffm = blocks.BiffmParams.build(
@@ -240,8 +240,7 @@ def model_forward(f_in, params, mode, rng=None) -> ForwardTrace:
     prev = f_enc
     for i, block in enumerate(params.decoder):
         u = blocks.frm_forward(prev, block.frm_up, mode, rng)
-        skip = skips[3] if cfg.skip_mode == "literal_s4" else skips[3 - i]
-        fused = blocks.biffm_forward(u, skip, block.biffm)
+        fused = blocks.biffm_forward(u, skips[cfg.skip_index(i)], block.biffm)
         reconstructed = blocks.frm_forward(fused, block.frm_fuse, mode, rng)
         matched = bilinear_resize(u, reconstructed.shape[2], reconstructed.shape[3])
         prev = concat([reconstructed, matched], axis=1)

@@ -221,9 +221,9 @@ def train(params: ModelParams, train_set, val_set, cfg: TrainConfig,
 
         val_metric = validation_dice(params, val_set, cfg.batch_size)
         lr_used = state.lr
-        if val_metric > state.best_val_metric:
-            best_entries = {name: arr.copy() for name, arr in _model_entries(params)}
         plateau_step(state, cfg, val_metric)
+        if state.epochs_since_best == 0:  # this epoch improved on the best
+            best_entries = {name: arr.copy() for name, arr in _model_entries(params)}
         state.epoch = epoch
         row = {
             "epoch": epoch,
@@ -402,8 +402,8 @@ def _read_exact(blob, offset, count, path):
 
 class _Entries(dict):
     """Checkpoint entries by name.  Looking up a missing entry, or reading one
-    whose shape or value does not fit (``shaped``, ``finite``, ``whole``), is a
-    format error."""
+    whose shape or value does not fit (``shaped``, ``finite``, ``whole``,
+    ``count``), is a format error."""
 
     def __init__(self, path):
         super().__init__()
@@ -436,6 +436,11 @@ class _Entries(dict):
         if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
             raise self.bad(name, f"must hold whole numbers, got {arr.tolist()}")
         return int(arr) if arr.ndim == 0 else tuple(int(v) for v in arr)
+
+    def count(self, name):
+        """A scalar entry holding a whole number no lower than 0."""
+        self.finite(name, (), 0.0)
+        return self.whole(name, ())
 
 
 def read_checkpoint_entries(path):
@@ -500,12 +505,12 @@ def load_checkpoint(path):
     for name, arr in _model_entries(params):
         entries.finite(name, arr.shape, 0.0 if name.endswith("/var") else -math.inf)
     for name in params.bn_states:
-        entries.whole(f"bnstat/{name}/count", ())
+        entries.count(f"bnstat/{name}/count")
     _load_model_entries(params, entries)
 
     state = None
     if "state/lr" in entries:
-        whole = entries.whole
+        count = entries.count
         words = entries.shaped("state/rng", (6,))
         try:
             rng = _decode_rng(words)
@@ -513,12 +518,12 @@ def load_checkpoint(path):
             raise entries.bad("state/rng", "is not a PCG64 generator state")
         state = TrainState(
             lr=float(entries.shaped("state/lr", ())),
-            epoch=whole("state/epoch", ()),
+            epoch=count("state/epoch"),
             best_val_metric=float(entries.shaped("state/best", ())),
-            epochs_since_best=whole("state/since_best", ()),
-            epochs_since_plateau=whole("state/since_plateau", ()),
-            reductions=whole("state/reductions", ()),
-            adam_t=whole("state/adam_t", ()),
+            epochs_since_best=count("state/since_best"),
+            epochs_since_plateau=count("state/since_plateau"),
+            reductions=count("state/reductions"),
+            adam_t=count("state/adam_t"),
             rng=rng,
         )
         for name, t in params.store.items():

@@ -30,10 +30,40 @@ class TestFmcab:
         with pytest.raises(ConfigurationError, match="p_exponent"):
             ModelConfig(p_exponent=p).validate()
 
-    def test_channel_mismatch(self):
-        store, params = build_fmcab(4)
-        with pytest.raises(DimensionError):
-            blocks.fmcab_forward(Tensor(np.zeros((1, 5, 6, 6), dtype=np.float32)), params)
+
+def _zeros(c):
+    return Tensor(np.zeros((1, c, 6, 6), dtype=np.float32))
+
+
+def _biffm():
+    return blocks.BiffmParams.build(ParamStore(0), "t", 4, 6)
+
+
+def _vitm():
+    return blocks.VitmParams.build(ParamStore(0), "t", 4, 36, heads=2)
+
+
+# (test id, the check's name in the error, the width the block's weights
+# hold, a call that feeds the checked input x)
+CHANNEL_CHECKS = [
+    ("fmcab", "fmcab_forward", 4, lambda x: blocks.fmcab_forward(x, build_fmcab(4)[1])),
+    ("biffm_decoder", "biffm_forward decoder input", 4,
+     lambda x: blocks.biffm_forward(x, _zeros(6), _biffm())),
+    ("biffm_skip", "biffm_forward skip input", 6,
+     lambda x: blocks.biffm_forward(_zeros(4), x, _biffm())),
+    ("tsa", "tsa_forward", 4, lambda x: blocks.tsa_forward(x, _vitm())),
+    ("gsa", "gsa_forward", 4, lambda x: blocks.gsa_forward(x, _vitm())),
+    ("frm", "frm_forward", 4, lambda x: blocks.frm_forward(
+        x, blocks.FrmParams.build(ParamStore(0), "t", 4, 2, upsample=True), "eval")),
+]
+
+
+@pytest.mark.parametrize("what,width,call", [c[1:] for c in CHANNEL_CHECKS],
+                         ids=[c[0] for c in CHANNEL_CHECKS])
+def test_channel_mismatch(what, width, call):
+    # each block reads its input width from its first layer's weights
+    with pytest.raises(DimensionError, match=f"^{what} expects {width} channels, got 5 "):
+        call(_zeros(5))
 
 
 class TestFocalModulation:

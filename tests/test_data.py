@@ -198,6 +198,13 @@ class TestDatasetDir:
         loaded = data.load_dataset(tmp_path)
         assert [s.id for s in loaded] == ["synth0000", "synth0001", "synth0002"]
 
+    def test_repeated_manifest_id_rejected(self, tmp_path):
+        data.write_dataset(tmp_path, data.generate_synthetic(4, size=(16, 16), seed=13))
+        with open(tmp_path / "manifest.txt", "a") as fh:
+            fh.write("\nsynth0000\n")
+        with pytest.raises(ParseError, match="id 'synth0000' on line 6 repeats line 1"):
+            data.load_dataset(tmp_path)
+
     def test_sample_validation(self):
         s = data.Sample(
             image=np.zeros((3, 4, 4), dtype=np.float32),

@@ -167,7 +167,6 @@ EXEMPT_PARAMS = {
     "train.log_fn",  # tests/test_train.py
     "main.argv",  # the console script
     "conv2d.stride",  # acceptance criterion 3 and tests/test_tensor.py
-    "layer_norm.eps",  # tests/test_tensor.py
 }
 
 

@@ -8,6 +8,7 @@ from fmbff.engine import (
     _accumulate,
     _erf,
     _linear_weights,
+    NORM_EPS,
     BatchNormState,
     ParamStore,
     Tensor,
@@ -310,8 +311,11 @@ class TestNormalize:
         x = Tensor(np.asarray([1.0, 3.0], dtype=np.float64).reshape(1, 1, 1, 2))
         scale = Tensor(np.ones(1, dtype=np.float64))
         shift = Tensor(np.zeros(1, dtype=np.float64))
-        out = layer_norm(x, scale, shift, eps=1e-12)
-        np.testing.assert_allclose(out.data.ravel(), [-1, 1], atol=1e-5)
+        out = layer_norm(x, scale, shift)
+        # mean 2 and variance 1, offset by the variance epsilon
+        np.testing.assert_allclose(
+            out.data.ravel(), np.array([-1, 1]) / math.sqrt(1 + NORM_EPS), rtol=1e-6
+        )
 
     def test_batch_norm_train_mean(self):
         rng = np.random.default_rng(4)

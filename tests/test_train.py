@@ -350,6 +350,12 @@ BAD_VALUES = [
     ("bnstat/enc1.bn1/var", -1.0),
     ("adam/m/head.w", np.nan),
     ("adam/v/head.w", -1.0),
+    ("bnstat/enc1.bn1/count", -3.0),
+    ("state/epoch", -1.0),
+    ("state/since_best", -1.0),
+    ("state/since_plateau", -1.0),
+    ("state/reductions", -1.0),
+    ("state/adam_t", -1.0),
 ]
 
 # One config entry replaced by a well-formed value that breaks a model rule.
@@ -486,6 +492,18 @@ class TestCheckpoint:
         tr.write_checkpoint_entries(path, entries)
         assert f"checkpoint entry '{name}' holds" in _predict_error(tmp_path, capsys, path)
         assert not (tmp_path / "pred" / "probe_prob.npy").exists()
+
+    def test_untrained_checkpoint_exits_2(self, tmp_path, capsys):
+        # a batch-norm count of 0 is well formed: eval mode then has no
+        # running statistics to use, a usage error (exit 2), not a bad file
+        path = tmp_path / "untrained.fmbf"
+        tr.save_checkpoint(path, build_model(tiny_config()))
+        image = tmp_path / "probe.ppm"
+        write_image(image, generate_synthetic(1, size=(16, 16), seed=1)[0].image)
+        capsys.readouterr()
+        assert cli.main(["predict", "--image", str(image), "--ckpt", str(path),
+                         "--out", str(tmp_path / "pred")]) == 2
+        assert "before any training batch" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name,value", INVALID_CONFIGS,
                              ids=[f"{n}={v.ravel()[-1]:g}" for n, v in INVALID_CONFIGS])
