@@ -266,9 +266,11 @@ def _read_netpbm(path, magic_expected):
         )
     values = []
     for k in (2, 3, 4):
+        if not header[k]:
+            raise ParseError(f"{path}: truncated header", offset=header.end(k))
         try:
             values.append(int(header[k]))
-        except ValueError:  # an empty field, at the end of the file, lands here too
+        except ValueError:
             raise ParseError(f"{path}: non-numeric header field", offset=header.end(k)) from None
     width, height, maxval = values
     for k, name, value in ((2, "width", width), (3, "height", height)):
@@ -354,6 +356,8 @@ def load_dataset(root):
             for name in os.listdir(os.path.join(root, "images"))
             if name.endswith(".ppm")
         )
+    if not ids:
+        raise ParseError(f"{root}: dataset lists no sample ids")
     samples = []
     for sid in ids:
         image = read_image(os.path.join(root, "images", f"{sid}.ppm"))

@@ -10,6 +10,15 @@ float ones) for the same reason, and a gradient that a closure computes
 afresh becomes its input's ``.grad`` without a copy; only a view of the
 gradient being propagated (a pass-through, a slice, a broadcast) is copied.
 
+Forward values live only as long as a closure reads them.  A closure
+captures exactly the arrays it reads, and an op marks each tensor whose
+value its backward reads (``_save_for_backward``: ``mul``'s operands, the
+inputs of ``matmul``, ``pow_``, ``log``, ``gelu`` and ``conv2d``, the outputs
+of ``sigmoid`` and ``softmax``).  ``backward()`` first replaces every other
+interior value with a read-only NaN view of the same shape and type, so the
+sweep's gradients reuse that memory and a step peaks at its forward graph.
+Leaves, the loss and saved tensors can still be read afterwards.
+
 Element types: a leaf is float32 unless its creator names another type
 (gradient checks name float64); every op takes its output type from its
 inputs, and a constant operand (a scalar or plain array) takes the type of
@@ -66,19 +75,21 @@ class no_grad:
 class Tensor:
     """A dense N-d array with an optional gradient and producing-op record."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_saved")
 
     def __init__(self, data, dtype=None):
         self.data = np.asarray(data, dtype=dtype or np.float32)
         self.grad = None
         self._parents = ()
         self._backward = None
+        self._saved = False
 
     @classmethod
     def _from_op(cls, data, parents, backward):
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
+        out._saved = False
         if _recording:
             out._parents = tuple(p for p in parents if isinstance(p, Tensor))
             out._backward = backward
@@ -149,12 +160,39 @@ def _as_array(x, other):
     return np.asarray(x, dtype=other.dtype)
 
 
+def _save_for_backward(*tensors):
+    """Mark each tensor whose value a backward closure reads, so that
+    ``backward()`` keeps its ``.data``; constants are skipped."""
+    if _recording:
+        for t in tensors:
+            if isinstance(t, Tensor):
+                t._saved = True
+
+
+@functools.lru_cache(maxsize=None)
+def _nan_scalar(dtype):
+    nan = np.full((), np.nan, dtype=dtype)
+    nan.flags.writeable = False
+    return nan
+
+
+def _released(a):
+    """A read-only, zero-stride NaN array of ``a``'s shape and type: it keeps
+    ``.shape`` and ``.dtype`` working and holds no memory of its own."""
+    return np.ndarray(a.shape, a.dtype, buffer=_nan_scalar(a.dtype), strides=(0,) * a.ndim)
+
+
 def backward(loss):
     """Accumulate the gradient of a scalar loss into every reachable leaf.
 
+    Before the sweep, each interior node's value (every node with a backward
+    closure, the loss excepted) that no closure reads is released: its
+    ``.data`` becomes a read-only NaN view of the same shape and type, so the
+    sweep's gradients reuse that memory.  Leaves, the loss and the tensors an
+    op saved for its backward (``_save_for_backward``) keep their values.
     Only leaves hold ``.grad`` afterwards: each interior node's gradient is
-    released as soon as its backward closure has consumed it.  Repeated
-    calls keep accumulating into leaves.
+    released as soon as its backward closure has consumed it.  Closures hold
+    the arrays they read, so repeated calls keep accumulating into leaves.
     """
     if not isinstance(loss, Tensor) or loss._backward is None:
         raise UsageError("backward() requires a non-leaf Tensor produced by an op")
@@ -180,6 +218,8 @@ def backward(loss):
     for node in topo:
         if node._backward is not None:
             node.grad = None
+            if not node._saved and node is not loss:
+                node.data = _released(node.data)
 
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
@@ -193,46 +233,56 @@ def backward(loss):
 # elementwise arithmetic
 
 
-def _binary(a, b, fwd, bwd_a, bwd_b):
+def _binary(a, b, fwd, bwd_a, bwd_b, reads_operands):
+    """``bwd_a`` / ``bwd_b`` map (g, a's array, b's array) to each operand's
+    gradient; unless ``reads_operands``, the closure keeps only their shapes."""
     ad, bd = _as_array(a, b), _as_array(b, a)
     try:
         data = fwd(ad, bd)
     except ValueError as exc:
         raise DimensionError(f"shapes {ad.shape} and {bd.shape} do not broadcast") from exc
+    sa, sb = ad.shape, bd.shape
+    if reads_operands:
+        _save_for_backward(a, b)
+    else:
+        ad = bd = None
 
     def back(g):
         if isinstance(a, Tensor):
-            _accumulate(a, _unbroadcast(bwd_a(g, ad, bd), ad.shape))
+            _accumulate(a, _unbroadcast(bwd_a(g, ad, bd), sa))
         if isinstance(b, Tensor):
-            _accumulate(b, _unbroadcast(bwd_b(g, ad, bd), bd.shape))
+            _accumulate(b, _unbroadcast(bwd_b(g, ad, bd), sb))
 
     return Tensor._from_op(data, (a, b), back)
 
 
 def add(a, b):
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
+    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g, False)
 
 
 def sub(a, b):
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
+    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g, False)
 
 
 def mul(a, b):
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x, True)
 
 
 def pow_(x, p):
     """Elementwise x**p for a fixed float exponent."""
-    data = x.data ** p
+    xd = x.data
+    _save_for_backward(x)
 
     def back(g):
-        _accumulate(x, g * p * x.data ** (p - 1.0))
+        _accumulate(x, g * p * xd ** (p - 1.0))
 
-    return Tensor._from_op(data, (x,), back)
+    return Tensor._from_op(xd ** p, (x,), back)
 
 
 def log(x):
-    return Tensor._from_op(np.log(x.data), (x,), lambda g: _accumulate(x, g / x.data))
+    xd = x.data
+    _save_for_backward(x)
+    return Tensor._from_op(np.log(xd), (x,), lambda g: _accumulate(x, g / xd))
 
 
 def clip(x, lo, hi):
@@ -271,13 +321,14 @@ def matmul(a, b):
         raise DimensionError(
             f"matmul inner extents differ: {a.shape[-1]} vs {b.shape[-2]}"
         )
-    data = np.matmul(a.data, b.data)
+    ad, bd = a.data, b.data
+    _save_for_backward(a, b)
 
     def back(g):
-        _accumulate(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
-        _accumulate(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
+        _accumulate(a, _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape))
+        _accumulate(b, _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape))
 
-    return Tensor._from_op(data, (a, b), back)
+    return Tensor._from_op(np.matmul(ad, bd), (a, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +379,7 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     # Each lowering returns its output and a function g -> (dx, dw).
     lowering = _conv_gemm if groups == 1 else _conv_depthwise
     out, grads = lowering(x.data, w.data, sh, sw, ph, pw, ho, wo)
+    _save_for_backward(x, w)
     if b is not None:
         out += b.data[None, :, None, None]
 
@@ -469,7 +521,7 @@ def _conv_gemm(x, w, sh, sw, ph, pw, ho, wo):
                 dflat[:, :, s : s + span] += np.matmul(taps[t].T, g1)
             dw[:, :, t] = np.matmul(g1, flat[:, :, s : s + span].swapaxes(1, 2)).sum(axis=0)
         if view:
-            dx = dflat.reshape(x.shape)
+            dx = dflat.reshape(n, cin, h, wd)
         else:
             dx = dflat[:, :, : hp * wp].reshape(n, cin, hp, wp)[:, :, ph : ph + h, pw : pw + wd]
         return dx, dw.reshape(w.shape)
@@ -517,9 +569,9 @@ def global_max_pool(x):
     out = np.take_along_axis(flat, idx[..., None], axis=-1).reshape(n, c, 1, 1)
 
     def back(g):
-        gf = np.zeros_like(flat)
+        gf = np.zeros((n, c, h * w), dtype=g.dtype)
         np.put_along_axis(gf, idx[..., None], g.reshape(n, c, 1), axis=-1)
-        _accumulate(x, gf.reshape(x.shape))
+        _accumulate(x, gf.reshape(n, c, h, w))
 
     return Tensor._from_op(out, (x,), back)
 
@@ -652,7 +704,9 @@ def sigmoid(x):
     def back(g):
         _accumulate(x, g * data * (1.0 - data))
 
-    return Tensor._from_op(data, (x,), back)
+    out = Tensor._from_op(data, (x,), back)
+    _save_for_backward(out)
+    return out
 
 
 # erf(x) / x as a series in x**2, highest power first: 2/sqrt(pi) * (-1)**n /
@@ -718,14 +772,15 @@ def gelu(x):
     results are bitwise those of the former SciPy erf path; float64 ones may
     differ from it in the last bits.
     """
-    phi_cdf = 0.5 * (1.0 + _erf(x.data / _SQRT2))
-    data = (x.data * phi_cdf).astype(x.data.dtype)
+    xd = x.data
+    phi_cdf = 0.5 * (1.0 + _erf(xd / _SQRT2))
+    _save_for_backward(x)
 
     def back(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        _accumulate(x, g * (phi_cdf + x.data * pdf))
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
+        _accumulate(x, g * (phi_cdf + xd * pdf))
 
-    return Tensor._from_op(data, (x,), back)
+    return Tensor._from_op((xd * phi_cdf).astype(xd.dtype), (x,), back)
 
 
 def softmax(x, axis):
@@ -739,7 +794,9 @@ def softmax(x, axis):
         dot = (g * data).sum(axis=axis, keepdims=True)
         _accumulate(x, data * (g - dot))
 
-    return Tensor._from_op(data, (x,), back)
+    out = Tensor._from_op(data, (x,), back)
+    _save_for_backward(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

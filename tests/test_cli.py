@@ -239,6 +239,19 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "'synth0001'" in err and "extents differ" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_dataset_names_directory_exits_3(self, tmp_path, capsys, command):
+        ds = tmp_path / "ds"
+        data.write_dataset(ds, data.generate_synthetic(3, size=(16, 16), seed=3))
+        (ds / "manifest.txt").write_text("")
+        args = ["--ckpt", str(tiny_checkpoint(tmp_path))] if command == "eval" else []
+        capsys.readouterr()
+        assert cli.main([command, "--data", str(ds), *args,
+                         "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(ds) in err and "Traceback" not in err
+
     def test_absurd_model_size_exits_2(self, tmp_path, capsys):
         # far beyond a 47-bit (128 TiB) address space, so no host can allocate it
         ds = tmp_path / "ds"

@@ -154,6 +154,14 @@ class TestNetpbmIO:
         with pytest.raises(ParseError, match="byte offset"):
             data.read_mask(path)
 
+    @pytest.mark.parametrize("header,offset", [(b"P6", 2), (b"P6 4", 4), (b"P6 4 4", 6)])
+    def test_truncated_header_offset(self, tmp_path, header, offset):
+        path = tmp_path / "short.ppm"
+        path.write_bytes(header)
+        with pytest.raises(ParseError, match="truncated header") as exc:
+            data.read_image(path)
+        assert exc.value.offset == offset
+
     @pytest.mark.parametrize("header,field,offset", [
         (b"P6 0 0 255 ", "width 0", 3),
         (b"P6 4 0 255 ", "height 0", 5),
@@ -204,6 +212,19 @@ class TestDatasetDir:
             fh.write("\nsynth0000\n")
         with pytest.raises(ParseError, match="id 'synth0000' on line 6 repeats line 1"):
             data.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("emptied", ["manifest", "images"])
+    def test_empty_dataset_rejected(self, tmp_path, emptied):
+        data.write_dataset(tmp_path, data.generate_synthetic(2, size=(16, 16), seed=13))
+        if emptied == "manifest":
+            (tmp_path / "manifest.txt").write_text("")
+        else:
+            (tmp_path / "manifest.txt").unlink()
+            for path in (tmp_path / "images").iterdir():
+                path.unlink()
+        with pytest.raises(ParseError, match="no sample ids") as exc:
+            data.load_dataset(tmp_path)
+        assert str(tmp_path) in str(exc.value)
 
     def test_sample_validation(self):
         s = data.Sample(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fmbff.model import (
     model_forward,
     predict_probs,
 )
+from fmbff.train import loss as train_loss
 
 
 def tiny_config(**kw):
@@ -137,6 +140,19 @@ class TestModelForward:
         assert interior and all(n.grad is None for n in interior)
         for name, t in params.store.items():
             assert t.grad is not None, f"no grad for {name}"
+
+    def test_leaf_grads_writeable_and_unshared(self):
+        """After the release and the sweep, each leaf holds a gradient of its
+        own: ``_accumulate`` never hands one array to two targets."""
+        params = build_model(tiny_config())
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.random((2, 3, 16, 16)).astype(np.float32))
+        y = (rng.random((2, 1, 16, 16)) > 0.5).astype(np.float32)
+        trace = model_forward(x, params, mode="train", rng=np.random.default_rng(0))
+        backward(train_loss(trace.f_out, y))
+        grads = [x.grad] + [t.grad for _, t in params.store.items()]
+        assert all(g.flags.writeable for g in grads)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(grads, 2))
 
     def test_stage_matched_skip_mode(self):
         params = build_model(tiny_config(skip_mode="stage_matched"))

@@ -24,12 +24,14 @@ from fmbff.engine import (
     gelu,
     global_max_pool,
     layer_norm,
+    log,
     matmul,
     max_pool2x2,
     mean_,
     mul,
     no_grad,
     permute,
+    pow_,
     relu,
     reshape,
     sigmoid,
@@ -655,6 +657,55 @@ class TestGradientHandoff:
         tracemalloc.stop()
         assert x.grad.shape == x.shape
         assert peak < 1.5 * x.data.nbytes, peak
+
+
+def _every_op_graph(rng):
+    """A scalar loss over every op kind, and its leaves."""
+    x = Tensor(rng.standard_normal((2, 4, 6, 6)))
+    w3 = Tensor(rng.standard_normal((4, 4, 3, 3)) * 0.2)
+    wdw = Tensor(rng.standard_normal((4, 1, 3, 3)) * 0.2)
+    w1, b1 = Tensor(rng.standard_normal((4, 4, 1, 1)) * 0.3), Tensor(rng.standard_normal(4))
+    scale, shift = Tensor(1 + 0.1 * rng.standard_normal(4)), Tensor(0.1 * rng.standard_normal(4))
+    t = gelu(conv2d(x, w3, pad=1))
+    t = relu(add(conv2d(t, wdw, pad=1, groups=4), 0.1))
+    t = batch_norm(conv2d(t, w1, b1), scale, shift, BatchNormState(4), "train")
+    t = layer_norm(dropout(channel_shuffle(t, 2), 0.5, "train", np.random.default_rng(0)),
+                   scale, shift)
+    t = concat([max_pool2x2(t), bilinear_resize(t, 3, 3)], axis=1)
+    tokens = reshape(permute(t, (0, 2, 3, 1)), (2, 9, 8))
+    attn = softmax(matmul(tokens, permute(tokens, (0, 2, 1))), -1)
+    y = sigmoid(sub(matmul(attn, tokens), reshape(global_max_pool(t), (2, 1, 8))))
+    loss = sum_(add(log(clip(y, 1e-6, 1.0)), pow_(add(y, 1.0), 2.0)))
+    return loss, [x, w3, wdw, w1, b1, scale, shift]
+
+
+class TestRelease:
+    """``backward()`` releases the interior values no closure reads and keeps
+    the ones an op saved; closures hold their own arrays."""
+
+    def test_unsaved_interior_released(self):
+        x = Tensor(np.random.default_rng(50).standard_normal((3, 4)))
+        s = add(x, 1.0)  # read by nothing: relu keeps a mask
+        backward(sum_(relu(s)))
+        assert s.shape == (3, 4) and s.dtype == np.float32
+        assert np.isnan(s.data).all() and not s.data.flags.writeable
+
+    def test_saved_values_kept(self):
+        rng = np.random.default_rng(51)
+        x, w = Tensor(rng.standard_normal((3, 4))), rng.standard_normal((3, 4))
+        a, b = add(x, 1.0), sigmoid(x)
+        before = a.data.tobytes(), b.data.tobytes()
+        backward(sum_(add(mul(a, w), b)))
+        assert (a.data.tobytes(), b.data.tobytes()) == before
+
+    def test_repeated_sweep_gives_same_bytes(self):
+        loss, leaves = _every_op_graph(np.random.default_rng(52))
+        backward(loss)
+        first = [t.grad.tobytes() for t in leaves]
+        for t in leaves:
+            t.grad = None
+        backward(loss)
+        assert [t.grad.tobytes() for t in leaves] == first
 
 
 class TestNoGrad:

@@ -270,6 +270,26 @@ class TestTrainLoop:
             tracemalloc.stop()
         assert run_peak <= 1.2 * step_peak, (run_peak / 2**20, step_peak / 2**20)
 
+    def test_sweep_peaks_at_forward_graph(self):
+        # backward() releases the forward values no closure reads before its
+        # sweep, so the gradients reuse their memory.
+        config = ModelConfig(input_size=(32, 32))
+        samples = generate_synthetic(4, size=(32, 32), seed=7)
+        params = build_model(config)
+        x = np.stack([s.image for s in samples])
+        y = np.stack([s.mask for s in samples])
+        tracemalloc.start()
+        try:
+            trace = model_forward(Tensor(x), params, mode="train", rng=np.random.default_rng(0))
+            batch_loss = tr.loss(trace.f_out, y)
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(batch_loss)
+            sweep_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweep_peak <= 1.05 * live, (sweep_peak / 2**20, live / 2**20)
+
     def test_empty_sets_rejected(self):
         params = build_model(tiny_config())
         with pytest.raises(UsageError):
