@@ -11,13 +11,13 @@ afresh becomes its input's ``.grad`` without a copy; only a view of the
 gradient being propagated (a pass-through, a slice, a broadcast) is copied.
 
 Forward values live only as long as a closure reads them.  A closure
-captures exactly the arrays it reads, and an op marks each tensor whose
-value its backward reads (``_save_for_backward``: ``mul``'s operands, the
-inputs of ``matmul``, ``pow_``, ``log``, ``gelu`` and ``conv2d``, the outputs
-of ``sigmoid`` and ``softmax``).  ``backward()`` first replaces every other
-interior value with a read-only NaN view of the same shape and type, so the
-sweep's gradients reuse that memory and a step peaks at its forward graph.
-Leaves, the loss and saved tensors can still be read afterwards.
+captures exactly the arrays it reads, and that capture is the only record
+of what its backward needs.  ``backward()`` first replaces the value of every
+interior node but the loss with a read-only NaN view of the same shape and
+type; an array a closure captured stays alive through the closure, and every
+other one is freed, so the sweep's gradients reuse that memory and a step
+peaks at its forward graph.  After ``backward()``, only leaves and the loss
+hold values.
 
 Element types: a leaf is float32 unless its creator names another type
 (gradient checks name float64); every op takes its output type from its
@@ -75,21 +75,19 @@ class no_grad:
 class Tensor:
     """A dense N-d array with an optional gradient and producing-op record."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "_saved")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, dtype=None):
         self.data = np.asarray(data, dtype=dtype or np.float32)
         self.grad = None
         self._parents = ()
         self._backward = None
-        self._saved = False
 
     @classmethod
     def _from_op(cls, data, parents, backward):
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out._saved = False
         if _recording:
             out._parents = tuple(p for p in parents if isinstance(p, Tensor))
             out._backward = backward
@@ -160,15 +158,6 @@ def _as_array(x, other):
     return np.asarray(x, dtype=other.dtype)
 
 
-def _save_for_backward(*tensors):
-    """Mark each tensor whose value a backward closure reads, so that
-    ``backward()`` keeps its ``.data``; constants are skipped."""
-    if _recording:
-        for t in tensors:
-            if isinstance(t, Tensor):
-                t._saved = True
-
-
 @functools.lru_cache(maxsize=None)
 def _nan_scalar(dtype):
     nan = np.full((), np.nan, dtype=dtype)
@@ -185,14 +174,14 @@ def _released(a):
 def backward(loss):
     """Accumulate the gradient of a scalar loss into every reachable leaf.
 
-    Before the sweep, each interior node's value (every node with a backward
-    closure, the loss excepted) that no closure reads is released: its
-    ``.data`` becomes a read-only NaN view of the same shape and type, so the
-    sweep's gradients reuse that memory.  Leaves, the loss and the tensors an
-    op saved for its backward (``_save_for_backward``) keep their values.
-    Only leaves hold ``.grad`` afterwards: each interior node's gradient is
-    released as soon as its backward closure has consumed it.  Closures hold
-    the arrays they read, so repeated calls keep accumulating into leaves.
+    Before the sweep, the value of every interior node (every node with a
+    backward closure) but the loss is released: its ``.data`` becomes a
+    read-only NaN view of the same shape and type.  Each closure captured
+    the arrays it reads, so only the arrays no closure holds are freed, the
+    sweep's gradients reuse that memory, and repeated calls keep
+    accumulating into leaves.  Afterwards only leaves and the loss hold
+    values, and only leaves hold ``.grad``: each interior node's gradient is
+    released as soon as its backward closure has consumed it.
     """
     if not isinstance(loss, Tensor) or loss._backward is None:
         raise UsageError("backward() requires a non-leaf Tensor produced by an op")
@@ -218,7 +207,7 @@ def backward(loss):
     for node in topo:
         if node._backward is not None:
             node.grad = None
-            if not node._saved and node is not loss:
+            if node is not loss:
                 node.data = _released(node.data)
 
     loss.grad = np.ones_like(loss.data)
@@ -242,9 +231,7 @@ def _binary(a, b, fwd, bwd_a, bwd_b, reads_operands):
     except ValueError as exc:
         raise DimensionError(f"shapes {ad.shape} and {bd.shape} do not broadcast") from exc
     sa, sb = ad.shape, bd.shape
-    if reads_operands:
-        _save_for_backward(a, b)
-    else:
+    if not reads_operands:
         ad = bd = None
 
     def back(g):
@@ -271,7 +258,6 @@ def mul(a, b):
 def pow_(x, p):
     """Elementwise x**p for a fixed float exponent."""
     xd = x.data
-    _save_for_backward(x)
 
     def back(g):
         _accumulate(x, g * p * xd ** (p - 1.0))
@@ -281,7 +267,6 @@ def pow_(x, p):
 
 def log(x):
     xd = x.data
-    _save_for_backward(x)
     return Tensor._from_op(np.log(xd), (x,), lambda g: _accumulate(x, g / xd))
 
 
@@ -298,12 +283,9 @@ def sum_(x):
 
 
 def mean_(x, axis=None):
-    """Mean over every element, or over ``axis``, which is kept at size 1."""
-    if axis is None:
-        n = x.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([x.shape[a] for a in axes]))
+    """Mean over every element, or over the tuple ``axis``, whose axes are
+    kept at size 1."""
+    n = x.size if axis is None else math.prod(x.shape[a] for a in axis)
     data = x.data.mean(axis=axis, keepdims=axis is not None)
 
     def back(g):
@@ -322,7 +304,6 @@ def matmul(a, b):
             f"matmul inner extents differ: {a.shape[-1]} vs {b.shape[-2]}"
         )
     ad, bd = a.data, b.data
-    _save_for_backward(a, b)
 
     def back(g):
         _accumulate(a, _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape))
@@ -379,7 +360,6 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     # Each lowering returns its output and a function g -> (dx, dw).
     lowering = _conv_gemm if groups == 1 else _conv_depthwise
     out, grads = lowering(x.data, w.data, sh, sw, ph, pw, ho, wo)
-    _save_for_backward(x, w)
     if b is not None:
         out += b.data[None, :, None, None]
 
@@ -704,9 +684,7 @@ def sigmoid(x):
     def back(g):
         _accumulate(x, g * data * (1.0 - data))
 
-    out = Tensor._from_op(data, (x,), back)
-    _save_for_backward(out)
-    return out
+    return Tensor._from_op(data, (x,), back)
 
 
 # erf(x) / x as a series in x**2, highest power first: 2/sqrt(pi) * (-1)**n /
@@ -774,7 +752,6 @@ def gelu(x):
     """
     xd = x.data
     phi_cdf = 0.5 * (1.0 + _erf(xd / _SQRT2))
-    _save_for_backward(x)
 
     def back(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
@@ -794,9 +771,7 @@ def softmax(x, axis):
         dot = (g * data).sum(axis=axis, keepdims=True)
         _accumulate(x, data * (g - dot))
 
-    out = Tensor._from_op(data, (x,), back)
-    _save_for_backward(out)
-    return out
+    return Tensor._from_op(data, (x,), back)
 
 
 # ---------------------------------------------------------------------------

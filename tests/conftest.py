@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread per process, set before anything loads NumPy: at its default
+# of one thread per core, OpenBLAS makes the suite's wall time (and criterion
+# 6's wall-clock bounds) depend on what else the host runs.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import pytest
 
 ACCEPTANCE_LINES = []

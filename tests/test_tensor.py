@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -286,8 +287,8 @@ class TestBilinearResize:
         x = Tensor(rng.random((2, 3, 5, 6)).astype(np.float32))
         upstream = rng.standard_normal((2, 3, 5, 6)).astype(np.float32)
         out = bilinear_resize(x, 5, 6)
-        backward(sum_(mul(out, upstream)))
         np.testing.assert_array_equal(out.data, x.data)
+        backward(sum_(mul(out, upstream)))
         np.testing.assert_array_equal(x.grad, upstream)
 
     def test_cached_weights_read_only(self):
@@ -540,9 +541,9 @@ class TestDropout:
         mask = (np.random.default_rng(7).random(data.shape) >= p).astype(np.float32) / (1 - p)
         x = Tensor(data)
         out = dropout(x, p, "train", np.random.default_rng(7))
-        backward(sum_(mul(out, w)))
         assert out.data.dtype == np.float32
         assert out.data.tobytes() == (data * mask).tobytes()
+        backward(sum_(mul(out, w)))
         assert x.grad.tobytes() == (w * mask).tobytes()
 
     def test_chunked_mask_is_one_draw(self):
@@ -556,11 +557,11 @@ class TestDropout:
         keep = ref.random(shape) >= 0.3
         x = Tensor(data)
         out = dropout(x, 0.3, "train", drawn)
-        backward(sum_(mul(out, w)))
         assert drawn.bit_generator.state == ref.bit_generator.state
         assert (out.data != 0).tobytes() == keep.tobytes()
         scaled = keep * (np.ones((), np.float32) / 0.7)
         assert out.data.tobytes() == (data * scaled).tobytes()
+        backward(sum_(mul(out, w)))
         assert x.grad.tobytes() == (w * scaled).tobytes()
 
     def test_bad_p(self):
@@ -680,23 +681,31 @@ def _every_op_graph(rng):
 
 
 class TestRelease:
-    """``backward()`` releases the interior values no closure reads and keeps
-    the ones an op saved; closures hold their own arrays."""
+    """After ``backward()`` only leaves and the loss hold values; closures
+    hold their own arrays."""
 
-    def test_unsaved_interior_released(self):
-        x = Tensor(np.random.default_rng(50).standard_normal((3, 4)))
-        s = add(x, 1.0)  # read by nothing: relu keeps a mask
-        backward(sum_(relu(s)))
-        assert s.shape == (3, 4) and s.dtype == np.float32
-        assert np.isnan(s.data).all() and not s.data.flags.writeable
-
-    def test_saved_values_kept(self):
-        rng = np.random.default_rng(51)
-        x, w = Tensor(rng.standard_normal((3, 4))), rng.standard_normal((3, 4))
-        a, b = add(x, 1.0), sigmoid(x)
-        before = a.data.tobytes(), b.data.tobytes()
-        backward(sum_(add(mul(a, w), b)))
-        assert (a.data.tobytes(), b.data.tobytes()) == before
+    def test_only_leaves_and_loss_keep_values(self):
+        loss, leaves = _every_op_graph(np.random.default_rng(50))
+        nodes, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        interior = [t for t in nodes if not t.is_leaf() and t is not loss]
+        kept = [t for t in nodes if t.is_leaf()] + [loss]
+        assert {id(t) for t in kept} == {id(t) for t in leaves + [loss]}
+        layouts = [(t.shape, t.dtype) for t in interior]
+        values = [t.data.tobytes() for t in kept]
+        backward(loss)
+        assert [(t.shape, t.dtype) for t in interior] == layouts
+        for t in interior:
+            assert np.isnan(t.data).all() and not t.data.flags.writeable
+        assert [t.data.tobytes() for t in kept] == values
+        grads = [t.grad for t in leaves]
+        assert all(g.flags.writeable for g in grads)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(grads, 2))
 
     def test_repeated_sweep_gives_same_bytes(self):
         loss, leaves = _every_op_graph(np.random.default_rng(52))
