@@ -116,8 +116,13 @@ def parse_config_text(text):
 def load_config(path):
     if path is None:
         return ModelConfig(), TrainConfig()
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
+    return parse_config_text(text)
 
 
 # ---------------------------------------------------------------------------

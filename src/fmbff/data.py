@@ -11,6 +11,7 @@ bit-exact golden files.  Directory convention:
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import re
@@ -343,12 +344,19 @@ def write_dataset(root, samples):
 def load_dataset(root):
     manifest = os.path.join(root, "manifest.txt")
     if os.path.exists(manifest):
+        with open(manifest, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{manifest}: not UTF-8 text", exc.start) from None
         first_line = {}  # id -> the manifest line that lists it
-        with open(manifest) as fh:
-            for number, sid in enumerate((line.strip() for line in fh), 1):
-                if sid and first_line.setdefault(sid, number) != number:
-                    raise ParseError(f"{manifest}: id {sid!r} on line {number} repeats line "
-                                     f"{first_line[sid]}")
+        # newline=None splits lines as a text-mode file does
+        lines = io.StringIO(text, newline=None)
+        for number, sid in enumerate((line.strip() for line in lines), 1):
+            if sid and first_line.setdefault(sid, number) != number:
+                raise ParseError(f"{manifest}: id {sid!r} on line {number} repeats line "
+                                 f"{first_line[sid]}")
         ids = list(first_line)
     else:
         ids = sorted(

@@ -19,6 +19,14 @@ other one is freed, so the sweep's gradients reuse that memory and a step
 peaks at its forward graph.  After ``backward()``, only leaves and the loss
 hold values.
 
+Importing the module fixes one allocator policy for the process: glibc's
+mmap threshold at 32 MiB and its trim threshold at 1 GiB (``_keep_heap``).
+A step frees its whole forward graph, and at glibc's dynamic thresholds
+that freed memory went back to the kernel, so the next step and every eval
+batch faulted it in again (5,700-9,800 minor faults a step at 64x64, batch
+8; about 10 with the policy).  It is a constant, not an option; it does
+nothing off glibc or when the environment sets either threshold.
+
 Element types: a leaf is float32 unless its creator names another type
 (gradient checks name float64); every op takes its output type from its
 inputs, and a constant operand (a scalar or plain array) takes the type of
@@ -33,8 +41,10 @@ differentiated.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
 
 import numpy as np
 
@@ -50,6 +60,30 @@ _CACHE_BYTES = 256 * 1024
 # buffers outgrow L1, and on rows shorter than that (planes of 16x16 and
 # below at batch 8) the multiply ran 2-3x slower.
 _UFUNC_BUFSIZE = 1024
+
+
+def _keep_heap():
+    """Set the allocator policy that the module docstring describes.
+
+    Setting either threshold switches glibc's dynamic thresholds off, so both
+    are set: with the trim threshold alone, every array over 128 KiB would be
+    mapped afresh each step.  Skipped where libc has no ``mallopt`` and where
+    the environment sets either threshold, so glibc's own tunables still win.
+    """
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if ("MALLOC_TRIM_THRESHOLD_" in os.environ or "MALLOC_MMAP_THRESHOLD_" in os.environ
+            or "malloc.trim_threshold" in tunables or "malloc.mmap_threshold" in tunables):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no process-wide libc
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+_keep_heap()
 
 _recording = True  # whether ops record parents and backward closures
 

@@ -252,6 +252,32 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(ds) in err and "Traceback" not in err
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        cli.main(["synth", "--n", "5", "--size", "16x16", "--out", str(ds)])
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(b"model.input_size = 32x32\n\xff\xfe\n")
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(ds), "--config", str(cfg),
+                         "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(cfg) in err and "(byte offset 25)" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_manifest_not_utf8_exits_3(self, tmp_path, capsys, command):
+        ds = tmp_path / "ds"
+        data.write_dataset(ds, data.generate_synthetic(3, size=(16, 16), seed=3))
+        (ds / "manifest.txt").write_bytes(b"synth0000\n\xe9synth0001\n")
+        args = ["--ckpt", str(tiny_checkpoint(tmp_path))] if command == "eval" else []
+        capsys.readouterr()
+        assert cli.main([command, "--data", str(ds), *args,
+                         "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(ds / "manifest.txt") in err and "(byte offset 10)" in err, err
+        assert "Traceback" not in err
+
     def test_absurd_model_size_exits_2(self, tmp_path, capsys):
         # far beyond a 47-bit (128 TiB) address space, so no host can allocate it
         ds = tmp_path / "ds"

@@ -213,6 +213,14 @@ class TestDatasetDir:
         with pytest.raises(ParseError, match="id 'synth0000' on line 6 repeats line 1"):
             data.load_dataset(tmp_path)
 
+    def test_manifest_not_utf8_rejected(self, tmp_path):
+        data.write_dataset(tmp_path, data.generate_synthetic(2, size=(16, 16), seed=13))
+        (tmp_path / "manifest.txt").write_bytes(b"synth0000\nsynth\xff0001\n")
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            data.load_dataset(tmp_path)
+        assert exc.value.offset == 15
+        assert str(tmp_path / "manifest.txt") in str(exc.value)
+
     @pytest.mark.parametrize("emptied", ["manifest", "images"])
     def test_empty_dataset_rejected(self, tmp_path, emptied):
         data.write_dataset(tmp_path, data.generate_synthetic(2, size=(16, 16), seed=13))

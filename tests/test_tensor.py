@@ -716,6 +716,72 @@ class TestRelease:
         backward(loss)
         assert [t.grad.tobytes() for t in leaves] == first
 
+    def test_random_graphs_leave_grads_writeable_and_unshared(self):
+        # Shared operands (``b`` is ``a`` a quarter of the time) and fan-out
+        # (any earlier node may feed any later op) over every op kind.
+        seed = 190
+        rng = np.random.default_rng(seed)
+        for index in range(300):
+            case = f"seed {seed}, graph {index}"
+            try:
+                loss, leaves = _random_graph(rng)
+                backward(loss)
+            except Exception as exc:
+                pytest.fail(f"{case}: {exc!r}")
+            grads = [t.grad for t in leaves if t.grad is not None]
+            assert grads and all(g.flags.writeable for g in grads), case
+            assert not any(np.shares_memory(a, b)
+                           for a, b in itertools.combinations(grads, 2)), case
+
+
+def _random_graph(rng):
+    """A scalar loss over a random graph of 2x4x4x4 maps, and its leaves."""
+    n, c, h, w = 2, 4, 4, 4
+
+    def leaf(*shape):
+        return Tensor(0.5 * rng.standard_normal(shape))
+
+    p = {"w3": leaf(c, c, 3, 3), "wdw": leaf(c, 1, 3, 3), "w1": leaf(c, c, 1, 1),
+         "b": leaf(c), "wcat": leaf(c, 2 * c, 1, 1), "scale": leaf(c), "shift": leaf(c),
+         "gain": leaf(1, c, 1, 1)}
+    drop_rng = np.random.default_rng(int(rng.integers(2**32)))
+
+    def tokens(t):
+        return reshape(t, (n, c, h * w))
+
+    ops = [
+        add, sub, mul, lambda a, b: mul(a, p["gain"]),
+        lambda a, b: relu(a), lambda a, b: sigmoid(a), lambda a, b: gelu(a),
+        lambda a, b: pow_(clip(a, -2.0, 2.0), 2.0), lambda a, b: log(add(mul(a, a), 1.0)),
+        lambda a, b: softmax(a, 1),
+        lambda a, b: reshape(reshape(a, (n, c * h * w)), (n, c, h, w)),
+        lambda a, b: permute(permute(a, (0, 2, 3, 1)), (0, 3, 1, 2)),
+        lambda a, b: channel_shuffle(a, 2),
+        lambda a, b: dropout(a, 0.5, "train", drop_rng),
+        lambda a, b: dropout(a, 0.5, "eval"),
+        lambda a, b: bilinear_resize(a, h, w),
+        lambda a, b: bilinear_resize(max_pool2x2(a), h, w),
+        lambda a, b: conv2d(a, p["w3"], pad=1),
+        lambda a, b: conv2d(a, p["wdw"], pad=1, groups=c),
+        lambda a, b: conv2d(a, p["w1"], p["b"]),
+        lambda a, b: conv2d(concat([a, b], axis=1), p["wcat"]),
+        lambda a, b: batch_norm(a, p["scale"], p["shift"], BatchNormState(c), "train"),
+        lambda a, b: layer_norm(a, p["scale"], p["shift"]),
+        lambda a, b: mul(a, global_max_pool(b)),
+        lambda a, b: add(a, reshape(mean_(b, axis=(2, 3)), (n, c, 1, 1))),
+        # (n, c, c) attention-like scores, broadcast over the last axis (c == h)
+        lambda a, b: mul(a, reshape(matmul(tokens(a), permute(tokens(b), (0, 2, 1))),
+                                    (n, c, c, 1))),
+    ]
+    pool = [leaf(n, c, h, w) for _ in range(3)]
+    for _ in range(int(rng.integers(4, 13))):
+        a = pool[rng.integers(len(pool))]
+        b = a if rng.random() < 0.25 else pool[rng.integers(len(pool))]
+        pool.append(ops[rng.integers(len(ops))](a, b))
+    terms = [pool[-1]] + [pool[i] for i in rng.choice(len(pool) - 1, 2, replace=False)]
+    loss = sum_(add(add(terms[0], terms[1]), terms[2]))
+    return loss, pool[:3] + list(p.values())
+
 
 class TestNoGrad:
     def test_result_keeps_no_graph(self):

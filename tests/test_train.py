@@ -1,9 +1,14 @@
+import ctypes
 import hashlib
 import importlib
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,41 @@ from fmbff.engine import ParamStore, Tensor, backward
 from fmbff.errors import FormatError, ParseError, UsageError
 from fmbff.gradcheck import finite_diff_check
 from fmbff.model import ModelConfig, build_model, model_forward
+
+
+def libc_has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# Default-config train steps (64x64, batch 8), then eval-mode batches, in a
+# fresh process; prints the minor page faults of steps 3-5 and of the batches.
+HEAP_PROBE = """
+import resource
+import numpy as np
+from fmbff import train as tr
+from fmbff.data import generate_synthetic
+from fmbff.engine import Tensor
+from fmbff.model import ModelConfig, build_model, model_forward
+
+def faults_of(fn):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+samples = generate_synthetic(8, size=(64, 64), seed=3)
+x = np.stack([s.image for s in samples])
+y = np.stack([s.mask for s in samples])
+params = build_model(ModelConfig())
+state = tr.TrainState(lr=1e-3, rng=np.random.default_rng(0))
+steps = [faults_of(lambda: tr._train_step(params, state, x, y, tr.TrainConfig(), 1))
+         for _ in range(5)]
+batches = [faults_of(lambda: model_forward(Tensor(x), params, mode="eval"))
+           for _ in range(3)]
+print(*steps[2:], *batches)
+"""
 
 
 def tiny_config(**kw):
@@ -289,6 +329,23 @@ class TestTrainLoop:
         finally:
             tracemalloc.stop()
         assert sweep_peak <= 1.05 * live, (sweep_peak / 2**20, live / 2**20)
+
+    @pytest.mark.skipif(not libc_has_mallopt(), reason="libc has no mallopt")
+    def test_heap_kept_between_steps(self):
+        # The engine fixes glibc's trim and mmap thresholds at import, so a
+        # step reuses the heap the previous step freed instead of faulting it
+        # back in (5,700-9,800 faults a step and 4,900-5,900 an eval batch
+        # without).
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")}
+        env["PYTHONPATH"] = str(Path(tr.__file__).parent.parent)
+        out = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env, capture_output=True,
+                             text=True, timeout=300, check=True).stdout
+        counts = [int(c) for c in out.split()]
+        # Medians of three: now and then a single step takes a few hundred
+        # faults more.
+        steps, batches = sorted(counts[:3]), sorted(counts[3:])
+        assert steps[1] < 500 and batches[1] < 500, counts
 
     def test_empty_sets_rejected(self):
         params = build_model(tiny_config())
