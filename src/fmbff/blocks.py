@@ -14,7 +14,13 @@ groups); ``build`` takes them as given.  Channel contracts:
     N x 2*width x H x W, where ``width`` is the entry projections' width.
   * ViTM keeps the bottleneck shape unchanged (residual).
   * FRM maps N x Cin x H x W to N x (Cout + Cin) x H' x W', doubling the
-    spatial extents when ``upsample`` is set.
+    spatial extents when ``upsample`` is set: ``frm_branch``'s Cout channels,
+    then the (resized) input as its identity.
+
+A 1x1 conv commutes with an align-corners bilinear resize (it mixes channels,
+the resize mixes pixels with rows that sum to 1), so BiFFM projects its skip
+at the skip's own size and resizes the ``width``-channel result.  The model's
+last decoder block uses the same identity on FRM's identity channels.
 """
 
 from __future__ import annotations
@@ -174,11 +180,18 @@ class BiffmParams:
 def biffm_forward(d, s, params, return_gates=False):
     """Dual-path gated fusion of a decoder map with a (resized) skip map."""
     _check_channels(d, params.proj_a, "biffm_forward decoder input")
-    _check_channels(s, params.proj_b, "biffm_forward skip input")
-    h, w = d.shape[2], d.shape[3]
+    return biffm_fuse(conv2d(d, *params.proj_a), s, params, return_gates)
 
-    pd = conv2d(d, *params.proj_a)
-    ps = conv2d(bilinear_resize(s, h, w), *params.proj_b)
+
+def biffm_fuse(pd, s, params, return_gates=False):
+    """BiFFM after its decoder projection: ``pd`` is ``proj_a`` of the decoder
+    map (N x width x H x W), ``s`` the skip map at any size.
+
+    The skip is projected at its own size and the ``width``-channel result
+    resized to H x W: a 1x1 conv commutes with the resize.
+    """
+    _check_channels(s, params.proj_b, "biffm_forward skip input")
+    ps = bilinear_resize(conv2d(s, *params.proj_b), pd.shape[2], pd.shape[3])
 
     x1 = _gap(pd)
     x2 = _gap(ps)
@@ -315,18 +328,17 @@ class FrmParams:
         return sum(self.pw[0].shape[:2])  # branch width + input width
 
 
-def frm_forward(x, params, mode, rng=None):
-    _check_channels(x, params.pw, "frm_forward")
-    h, w = x.shape[2], x.shape[3]
-    if params.upsample:
-        oh, ow = 2 * h, 2 * w
-        t = bilinear_resize(x, oh, ow)
-    else:
-        oh, ow = h, w
-        t = x
+def frm_branch(x, params, mode, rng=None):
+    """FRM's branch alone: (upsample,) dropout, depthwise-separable conv,
+    relu and batch norm; N x Cin x H x W to N x Cout x H' x W'."""
+    t = bilinear_resize(x, 2 * x.shape[2], 2 * x.shape[3]) if params.upsample else x
     t = dropout(t, FRM_DROP_P, mode, rng)
     t = conv2d(conv2d(t, *params.dw, pad=1, groups=x.shape[1]), *params.pw)
-    t = relu(t)
-    t = batch_norm(t, *params.bn, mode)
-    identity = bilinear_resize(x, oh, ow)
-    return concat([t, identity], axis=1)
+    return batch_norm(relu(t), *params.bn, mode)
+
+
+def frm_forward(x, params, mode, rng=None):
+    """The branch concatenated with the (resized) input, its identity."""
+    _check_channels(x, params.pw, "frm_forward")
+    t = frm_branch(x, params, mode, rng)
+    return concat([t, bilinear_resize(x, t.shape[2], t.shape[3])], axis=1)

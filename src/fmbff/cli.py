@@ -122,7 +122,10 @@ def load_config(path):
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text (byte offset {exc.start})") from None
-    return parse_config_text(text)
+    try:
+        return parse_config_text(text)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -846,6 +846,21 @@ def concat(tensors, axis):
     return Tensor._from_op(data, tensors, back)
 
 
+def channel_slice(x, start, stop):
+    """Channels ``start:stop`` (axis 1) of ``x``, as a contiguous copy; a
+    weight of shape (O, C, kh, kw) is read in input-channel ranges."""
+    if not 0 <= start < stop <= x.shape[1]:
+        raise DimensionError(f"channel range {start}:{stop} outside 0:{x.shape[1]}")
+    shape = x.shape
+
+    def back(g):
+        dx = np.zeros(shape, dtype=g.dtype)
+        dx[:, start:stop] = g
+        _accumulate(x, dx)
+
+    return Tensor._from_op(np.ascontiguousarray(x.data[:, start:stop]), (x,), back)
+
+
 def channel_shuffle(x, groups):
     """Permute channels: index i moves to (i mod g) * (C/g) + i // g."""
     c = x.shape[1]

@@ -5,6 +5,16 @@ The encoder is a plain 4-stage convolutional stand-in with the stage
 interface the architecture needs (feature maps at strides 2, 4, 8, 16).
 Skip n concatenates the FMCAB-processed stage output with the max-pooled
 previous skip, so skip widths are cumulative over the encoder widths.
+
+Each decoder block concatenates its reconstruction with its frm_up output,
+which holds the block input upsampled as identity channels, so the widest
+maps reach full resolution.  A 1x1 conv mixes channels and an align-corners
+bilinear resize mixes pixels with rows that sum to 1, so in exact arithmetic
+``conv1x1(resize(x)) == resize(conv1x1(x))``, bias included.  In dec1-3 the
+identity channels feed the next block's dropout and depthwise conv, which do
+not commute with the resize, so they are built in full.  After the last
+block only 1x1 convs read them (``biffm.proj_a`` and the head), so there
+their share is computed at the block input's size and resized after.
 """
 
 from __future__ import annotations
@@ -19,8 +29,10 @@ from . import blocks
 from .engine import (
     ParamStore,
     Tensor,
+    add,
     batch_norm,
     bilinear_resize,
+    channel_slice,
     concat,
     conv2d,
     max_pool2x2,
@@ -237,16 +249,41 @@ def model_forward(f_in, params, mode, rng=None) -> ForwardTrace:
     stage_outputs, skips = encoder_forward(f_in, params, mode)
     f_enc = blocks.vitm_forward(stage_outputs[3], params.vitm)
 
+    *inner, last = params.decoder
     prev = f_enc
-    for i, block in enumerate(params.decoder):
+    for i, block in enumerate(inner):
         u = blocks.frm_forward(prev, block.frm_up, mode, rng)
         fused = blocks.biffm_forward(u, skips[cfg.skip_index(i)], block.biffm)
         reconstructed = blocks.frm_forward(fused, block.frm_fuse, mode, rng)
         matched = bilinear_resize(u, reconstructed.shape[2], reconstructed.shape[3])
         prev = concat([reconstructed, matched], axis=1)
 
-    f_out = sigmoid(conv2d(prev, params.head_w, params.head_b))
-    return ForwardTrace(f_out=f_out)
+    skip = skips[cfg.skip_index(len(inner))]
+    return ForwardTrace(f_out=_last_block_and_head(prev, skip, last, params, mode, rng))
+
+
+def _last_block_and_head(prev, skip, block, params, mode, rng):
+    """The last decoder block and the sigmoid head, without the block's
+    frm_up identity ``resize(prev)``.
+
+    Only 1x1 convs read those channels: ``proj_a`` directly and the head
+    through ``matched``.  Their share of both is computed at prev's size, and
+    its width + 1 channels are resized in place of prev's.
+    """
+    branch = blocks.frm_branch(prev, block.frm_up, mode, rng)
+    nb = branch.shape[1]
+    wa, ba = block.biffm.proj_a
+    wh, width = params.head_w, wa.shape[0]
+    nh = block.frm_fuse.out_channels + nb  # head inputs ahead of the identity
+    shares = conv2d(prev, concat([channel_slice(wa, nb, wa.shape[1]),
+                                  channel_slice(wh, nh, wh.shape[1])], axis=0))
+    shares = bilinear_resize(shares, branch.shape[2], branch.shape[3])
+    pd = add(conv2d(branch, channel_slice(wa, 0, nb), ba), channel_slice(shares, 0, width))
+    fused = blocks.biffm_fuse(pd, skip, block.biffm)
+    reconstructed = blocks.frm_forward(fused, block.frm_fuse, mode, rng)
+    logits = conv2d(concat([reconstructed, branch], axis=1), channel_slice(wh, 0, nh),
+                    params.head_b)
+    return sigmoid(add(logits, channel_slice(shares, width, width + 1)))
 
 
 def predict_probs(params, images, batch_size):

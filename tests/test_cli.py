@@ -155,13 +155,16 @@ class TestTrain:
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["checkpoint_sha256"] is not None
 
-    def test_unknown_config_key_exits_2(self, tmp_path):
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         cli.main(["synth", "--n", "5", "--size", "16x16", "--out", str(ds)])
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("train.nope = 1\n")
+        capsys.readouterr()
         assert cli.main(["train", "--data", str(ds), "--config", str(cfg),
                          "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}: line 1: unknown key 'train.nope'\n", err
 
     def test_missing_dataset_exits_3(self, tmp_path):
         assert cli.main(["train", "--data", str(tmp_path / "nope"),
@@ -208,7 +211,7 @@ class TestTrain:
         assert cli.main(["train", "--data", str(ds), "--config", str(cfg),
                          "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 

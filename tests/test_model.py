@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from fmbff.engine import Tensor, backward, bilinear_resize, mul, sum_
+from fmbff import blocks
+from fmbff.engine import Tensor, backward, bilinear_resize, concat, conv2d, mul, sigmoid, sum_
 from fmbff.errors import ConfigurationError, DimensionError
 from fmbff.model import (
+    SKIP_MODES,
     ModelConfig,
     build_model,
     encoder_forward,
@@ -159,6 +161,58 @@ class TestModelForward:
         x = Tensor(np.random.default_rng(6).random((1, 3, 16, 16)).astype(np.float32))
         trace = model_forward(x, params, mode="train", rng=np.random.default_rng(0))
         assert trace.f_out.shape == (1, 1, 16, 16)
+
+
+def _reference_forward(f_in, params, mode, rng=None):
+    """The decoder as the architecture states it: every block's identity
+    concat is built at full size and read by proj_a and the head there, and
+    BiFFM resizes the skip before it projects it (``biffm_forward``'s own
+    resize of an already resized skip is the exact identity)."""
+    cfg = params.config
+    stage_outputs, skips = encoder_forward(f_in, params, mode)
+    prev = blocks.vitm_forward(stage_outputs[3], params.vitm)
+    for i, block in enumerate(params.decoder):
+        u = blocks.frm_forward(prev, block.frm_up, mode, rng)
+        skip = bilinear_resize(skips[cfg.skip_index(i)], u.shape[2], u.shape[3])
+        fused = blocks.biffm_forward(u, skip, block.biffm)
+        prev = concat([blocks.frm_forward(fused, block.frm_fuse, mode, rng), u], axis=1)
+    return sigmoid(conv2d(prev, params.head_w, params.head_b))
+
+
+@pytest.mark.parametrize("skip_mode", SKIP_MODES)
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_projections_before_upsampling_match_reference(mode, skip_mode):
+    """model_forward runs the decoder's 1x1 projections at their inputs'
+    size and resizes after; in float64 that matches the reference's outputs
+    and every gradient to rounding."""
+    params = build_model(tiny_config(input_size=(32, 48), decoder_widths=(4, 2, 2, 2),
+                                     skip_mode=skip_mode))
+    rng = np.random.default_rng(31)
+    for _, t in params.store.items():
+        t.data = t.data.astype(np.float64) + rng.uniform(-0.05, 0.05, t.shape)
+    x = Tensor(rng.random((2, 3, 32, 48)), np.float64)
+    weight = rng.standard_normal((2, 1, 32, 48))
+    model_forward(x, params, mode="train", rng=np.random.default_rng(0))  # BN statistics
+
+    results = []
+    for forward in (lambda: model_forward(x, params, mode, np.random.default_rng(5)).f_out,
+                    lambda: _reference_forward(x, params, mode, np.random.default_rng(5))):
+        x.grad = None
+        for _, t in params.store.items():
+            t.grad = None
+        out = forward()
+        values = out.data.copy()
+        backward(sum_(mul(out, weight)))
+        results.append((values, {"input": x.grad, **{n: t.grad for n, t in params.store.items()}}))
+
+    (got, got_grads), (want, want_grads) = results
+    assert got.dtype == np.float64 and np.abs(got - want).max() <= 1e-12
+    # A conv bias ahead of a batch norm has an exact gradient of 0, so its
+    # rounding noise is measured against a floor: 1e-3 of the largest gradient.
+    floor = 1e-3 * max(np.abs(g).max() for g in want_grads.values())
+    for name, g in want_grads.items():
+        err = np.abs(got_grads[name] - g).max() / max(np.abs(g).max(), floor)
+        assert err <= 1e-10, (name, err)
 
 
 class TestPredictProbs:

@@ -18,6 +18,7 @@ from fmbff.engine import (
     batch_norm,
     bilinear_resize,
     channel_shuffle,
+    channel_slice,
     clip,
     concat,
     conv2d,
@@ -494,6 +495,15 @@ class TestRearrange:
         out = channel_shuffle(x, 3)
         assert sorted(out.data.ravel().tolist()) == sorted(x.data.ravel().tolist())
 
+    def test_channel_slice_values_and_range(self):
+        x = Tensor(np.arange(24, dtype=np.float32).reshape(2, 3, 2, 2))
+        out = channel_slice(x, 1, 3)
+        np.testing.assert_array_equal(out.data, x.data[:, 1:3])
+        assert out.data.flags.c_contiguous
+        for start, stop in ((0, 0), (2, 1), (-1, 2), (1, 4)):
+            with pytest.raises(DimensionError, match="channel range"):
+                channel_slice(x, start, stop)
+
     def test_concat_extents(self):
         a = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
         b = Tensor(np.zeros((1, 5, 4, 4), dtype=np.float32))
@@ -669,7 +679,10 @@ def _every_op_graph(rng):
     scale, shift = Tensor(1 + 0.1 * rng.standard_normal(4)), Tensor(0.1 * rng.standard_normal(4))
     t = gelu(conv2d(x, w3, pad=1))
     t = relu(add(conv2d(t, wdw, pad=1, groups=4), 0.1))
-    t = batch_norm(conv2d(t, w1, b1), scale, shift, BatchNormState(4), "train")
+    # the 1x1 conv as the sum of its two input-channel halves
+    t = add(conv2d(channel_slice(t, 0, 2), channel_slice(w1, 0, 2), b1),
+            conv2d(channel_slice(t, 2, 4), channel_slice(w1, 2, 4)))
+    t = batch_norm(t, scale, shift, BatchNormState(4), "train")
     t = layer_norm(dropout(channel_shuffle(t, 2), 0.5, "train", np.random.default_rng(0)),
                    scale, shift)
     t = concat([max_pool2x2(t), bilinear_resize(t, 3, 3)], axis=1)
@@ -757,6 +770,7 @@ def _random_graph(rng):
         lambda a, b: reshape(reshape(a, (n, c * h * w)), (n, c, h, w)),
         lambda a, b: permute(permute(a, (0, 2, 3, 1)), (0, 3, 1, 2)),
         lambda a, b: channel_shuffle(a, 2),
+        lambda a, b: concat([channel_slice(a, 1, c), channel_slice(b, 0, 1)], axis=1),
         lambda a, b: dropout(a, 0.5, "train", drop_rng),
         lambda a, b: dropout(a, 0.5, "eval"),
         lambda a, b: bilinear_resize(a, h, w),
@@ -890,6 +904,7 @@ class TestFiniteDiff:
         ("softmax", lambda x: sum_(mul(softmax(x, -1), np.arange(6.0))), (4, 6)),
         ("gelu", lambda x: sum_(gelu(x)), (2, 5)),
         ("shuffle", lambda x: sum_(mul(channel_shuffle(x, 2), np.random.default_rng(0).random((1, 4, 2, 2)))), (1, 4, 2, 2)),
+        ("slice", lambda x: sum_(mul(channel_slice(x, 1, 3), np.random.default_rng(0).random((2, 2, 2, 2)))), (2, 4, 2, 2)),
     ],
 )
 def test_primitive_gradients(name, f, shape):
