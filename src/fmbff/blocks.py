@@ -15,7 +15,7 @@ groups); ``build`` takes them as given.  Channel contracts:
   * ViTM keeps the bottleneck shape unchanged (residual).
   * FRM maps N x Cin x H x W to N x (Cout + Cin) x H' x W', doubling the
     spatial extents when ``upsample`` is set: ``frm_branch``'s Cout channels,
-    then the (resized) input as its identity.
+    then the input, resized once for both, as its identity.
 
 A 1x1 conv commutes with an align-corners bilinear resize (it mixes channels,
 the resize mixes pixels with rows that sum to 1), so BiFFM projects its skip
@@ -328,17 +328,16 @@ class FrmParams:
         return sum(self.pw[0].shape[:2])  # branch width + input width
 
 
-def frm_branch(x, params, mode, rng=None):
-    """FRM's branch alone: (upsample,) dropout, depthwise-separable conv,
-    relu and batch norm; N x Cin x H x W to N x Cout x H' x W'."""
-    t = bilinear_resize(x, 2 * x.shape[2], 2 * x.shape[3]) if params.upsample else x
-    t = dropout(t, FRM_DROP_P, mode, rng)
-    t = conv2d(conv2d(t, *params.dw, pad=1, groups=x.shape[1]), *params.pw)
+def frm_branch(r, params, mode, rng=None):
+    """FRM's branch on its (resized) input: dropout, depthwise-separable
+    conv, relu and batch norm; N x Cin x H x W to N x Cout x H x W."""
+    t = dropout(r, FRM_DROP_P, mode, rng)
+    t = conv2d(conv2d(t, *params.dw, pad=1, groups=r.shape[1]), *params.pw)
     return batch_norm(relu(t), *params.bn, mode)
 
 
 def frm_forward(x, params, mode, rng=None):
-    """The branch concatenated with the (resized) input, its identity."""
+    """The branch concatenated with its own (resized) input, the identity."""
     _check_channels(x, params.pw, "frm_forward")
-    t = frm_branch(x, params, mode, rng)
-    return concat([t, bilinear_resize(x, t.shape[2], t.shape[3])], axis=1)
+    r = bilinear_resize(x, 2 * x.shape[2], 2 * x.shape[3]) if params.upsample else x
+    return concat([frm_branch(r, params, mode, rng), r], axis=1)

@@ -2,13 +2,14 @@
 
 Layout convention for image-like data is N x C x H x W.  Every operation
 returns a fresh Tensor whose backward closure scatters gradients into its
-inputs; ``backward(loss)`` runs the whole reverse sweep and frees each
-interior gradient once its closure has consumed it, so only leaves hold
-``.grad`` afterwards and a step's memory is bounded by what the rest of the
-sweep still needs.  Closures keep compact state (bool masks rather than
-float ones) for the same reason, and a gradient that a closure computes
-afresh becomes its input's ``.grad`` without a copy; only a view of the
-gradient being propagated (a pass-through, a slice, a broadcast) is copied.
+inputs, bar an identity (a same-size resize, dropout in eval mode or at
+p = 0), which returns its input; ``backward(loss)`` runs the whole reverse
+sweep and frees each interior gradient once its closure has consumed it, so
+only leaves hold ``.grad`` afterwards and a step's memory is bounded by what
+the rest of the sweep still needs.  Closures keep compact state (bool masks
+rather than float ones) for the same reason, and a gradient that a closure
+computes afresh becomes its input's ``.grad`` without a copy; only a view of
+the gradient being propagated (a pass-through, a slice, a broadcast) is copied.
 
 Forward values live only as long as a closure reads them.  A closure
 captures exactly the arrays it reads, and that capture is the only record
@@ -617,12 +618,12 @@ def _linear_weights(n_in, n_out, dtype):
 
 
 def bilinear_resize(x, out_h, out_w):
-    """Align-corners bilinear resampling; same-size resize is the exact identity."""
+    """Align-corners bilinear resampling; a same-size resize returns ``x``."""
     if out_h < 1 or out_w < 1:
         raise DimensionError(f"target extents must be >= 1, got {out_h}x{out_w}")
     n, c, h, w = x.shape
     if (out_h, out_w) == (h, w):
-        return Tensor._from_op(x.data, (x,), lambda g: _accumulate(x, g))
+        return x
     wh = _linear_weights(h, out_h, x.data.dtype)
     ww = _linear_weights(w, out_w, x.data.dtype)
     out = np.matmul(np.matmul(wh, x.data), ww.T)
@@ -877,11 +878,11 @@ def channel_shuffle(x, groups):
 
 
 def dropout(x, p, mode, rng=None):
-    """Inverted dropout; identity in eval mode, deterministic under a fixed rng."""
+    """Inverted dropout, deterministic under a fixed rng; eval mode or p = 0 returns ``x``."""
     if not 0.0 <= p < 1.0:
         raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
     if mode == "eval" or p == 0.0:
-        return Tensor._from_op(x.data, (x,), lambda g: _accumulate(x, g))
+        return x
     if mode != "train":
         raise ConfigurationError(f"unknown mode {mode!r}")
     if rng is None:

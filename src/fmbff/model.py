@@ -6,15 +6,16 @@ interface the architecture needs (feature maps at strides 2, 4, 8, 16).
 Skip n concatenates the FMCAB-processed stage output with the max-pooled
 previous skip, so skip widths are cumulative over the encoder widths.
 
-Each decoder block concatenates its reconstruction with its frm_up output,
-which holds the block input upsampled as identity channels, so the widest
-maps reach full resolution.  A 1x1 conv mixes channels and an align-corners
-bilinear resize mixes pixels with rows that sum to 1, so in exact arithmetic
-``conv1x1(resize(x)) == resize(conv1x1(x))``, bias included.  In dec1-3 the
-identity channels feed the next block's dropout and depthwise conv, which do
-not commute with the resize, so they are built in full.  After the last
-block only 1x1 convs read them (``biffm.proj_a`` and the head), so there
-their share is computed at the block input's size and resized after.
+Each decoder block concatenates its reconstruction with its frm_up output
+(same extents, so no resize), which holds the block input, upsampled once,
+as identity channels, so the widest maps reach full resolution.  A 1x1 conv
+mixes channels and an align-corners bilinear resize mixes pixels with rows
+that sum to 1, so in exact arithmetic ``conv1x1(resize(x)) ==
+resize(conv1x1(x))``, bias included.  In dec1-3 the identity channels feed
+the next block's dropout and depthwise conv, which do not commute with the
+resize, so they are built in full.  After the last block only 1x1 convs
+read them (``biffm.proj_a`` and the head), so there their share is computed
+at the block input's size and resized after.
 """
 
 from __future__ import annotations
@@ -254,9 +255,7 @@ def model_forward(f_in, params, mode, rng=None) -> ForwardTrace:
     for i, block in enumerate(inner):
         u = blocks.frm_forward(prev, block.frm_up, mode, rng)
         fused = blocks.biffm_forward(u, skips[cfg.skip_index(i)], block.biffm)
-        reconstructed = blocks.frm_forward(fused, block.frm_fuse, mode, rng)
-        matched = bilinear_resize(u, reconstructed.shape[2], reconstructed.shape[3])
-        prev = concat([reconstructed, matched], axis=1)
+        prev = concat([blocks.frm_forward(fused, block.frm_fuse, mode, rng), u], axis=1)
 
     skip = skips[cfg.skip_index(len(inner))]
     return ForwardTrace(f_out=_last_block_and_head(prev, skip, last, params, mode, rng))
@@ -267,10 +266,11 @@ def _last_block_and_head(prev, skip, block, params, mode, rng):
     frm_up identity ``resize(prev)``.
 
     Only 1x1 convs read those channels: ``proj_a`` directly and the head
-    through ``matched``.  Their share of both is computed at prev's size, and
-    its width + 1 channels are resized in place of prev's.
+    through the block output.  Their share of both is computed at prev's
+    size, and its width + 1 channels are resized in place of prev's.
     """
-    branch = blocks.frm_branch(prev, block.frm_up, mode, rng)
+    branch = blocks.frm_branch(bilinear_resize(prev, 2 * prev.shape[2], 2 * prev.shape[3]),
+                               block.frm_up, mode, rng)
     nb = branch.shape[1]
     wa, ba = block.biffm.proj_a
     wh, width = params.head_w, wa.shape[0]
@@ -295,18 +295,13 @@ def predict_probs(params, images, batch_size):
     The batches run under ``no_grad``.
     """
     h, w = params.config.input_size
-    resized = [
-        image if image.shape[1:] == (h, w)
-        else bilinear_resize(Tensor(image[None]), h, w).data[0]
-        for image in images
-    ]
+    resized = [bilinear_resize(Tensor(image[None]), h, w).data[0] for image in images]
     probs = []
     with no_grad():
         for start in range(0, len(resized), batch_size):
             x = Tensor(np.stack(resized[start : start + batch_size]))
             probs.extend(model_forward(x, params, mode="eval").f_out.data)
     return [
-        prob if image.shape[1:] == (h, w)
-        else bilinear_resize(Tensor(prob[None]), *image.shape[1:]).data[0]
+        bilinear_resize(Tensor(prob[None]), *image.shape[1:]).data[0]
         for image, prob in zip(images, probs)
     ]

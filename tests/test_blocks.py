@@ -2,7 +2,19 @@ import numpy as np
 import pytest
 
 from fmbff import blocks
-from fmbff.engine import ParamStore, Tensor
+from fmbff.engine import (
+    ParamStore,
+    Tensor,
+    backward,
+    batch_norm,
+    bilinear_resize,
+    concat,
+    conv2d,
+    dropout,
+    mul,
+    relu,
+    sum_,
+)
 from fmbff.errors import ConfigurationError, DimensionError
 from fmbff.model import ModelConfig
 
@@ -202,6 +214,50 @@ class TestFrm:
         a = blocks.frm_forward(x, params, mode="eval")
         b = blocks.frm_forward(x, params, mode="eval")
         np.testing.assert_array_equal(a.data, b.data)
+
+
+def _frm_reference(x, params, mode, rng=None):
+    """FRM from engine ops: the branch on one resize of ``x``, concatenated
+    with a second, separate resize of ``x``."""
+    h, w = x.shape[2:]
+    if params.upsample:
+        h, w = 2 * h, 2 * w
+    t = dropout(bilinear_resize(x, h, w), blocks.FRM_DROP_P, mode, rng)
+    t = conv2d(conv2d(t, *params.dw, pad=1, groups=x.shape[1]), *params.pw)
+    t = batch_norm(relu(t), *params.bn, mode)
+    return concat([t, bilinear_resize(x, h, w)], axis=1)
+
+
+@pytest.mark.parametrize("upsample", [True, False])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_frm_matches_float64_reference(mode, upsample):
+    """frm_forward's one shared resize gives the reference's outputs and
+    every gradient, input and parameters, to rounding in float64."""
+    store = ParamStore(14)
+    params = blocks.FrmParams.build(store, "t", 3, 5, upsample=upsample)
+    rng = np.random.default_rng(15)
+    for _, t in store.items():
+        t.data = t.data.astype(np.float64) + rng.uniform(-0.1, 0.1, t.shape)
+    x = Tensor(rng.standard_normal((2, 3, 4, 6)), np.float64)
+    blocks.frm_forward(x, params, "train", np.random.default_rng(0))  # BN statistics
+    leaves = {"input": x, **dict(store.items())}
+
+    results = []
+    for forward in (blocks.frm_forward, _frm_reference):
+        for t in leaves.values():
+            t.grad = None
+        out = forward(x, params, mode, np.random.default_rng(5))
+        weight = np.random.default_rng(16).standard_normal(out.shape)
+        values = out.data.copy()
+        backward(sum_(mul(out, weight)))
+        results.append((values, {name: t.grad for name, t in leaves.items()}))
+
+    (got, got_grads), (want, want_grads) = results
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    for name, g in want_grads.items():
+        err = np.abs(got_grads[name] - g).max() / np.abs(g).max()
+        assert err <= 1e-10, (name, err)
 
 
 def test_randomized_config_sweep_shapes():

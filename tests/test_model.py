@@ -156,6 +156,24 @@ class TestModelForward:
         assert all(g.flags.writeable for g in grads)
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(grads, 2))
 
+    def test_no_pass_through_nodes(self):
+        """No graph node holds its parent's array as its own value: an
+        identity op returns its input instead of wrapping it in a node."""
+        params = build_model(tiny_config())
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.random((2, 3, 16, 16)).astype(np.float32))
+        y = (rng.random((2, 1, 16, 16)) > 0.5).astype(np.float32)
+        trace = model_forward(x, params, mode="train", rng=np.random.default_rng(0))
+        loss = train_loss(trace.f_out, y)
+        passes, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                passes += [node for p in node._parents if node.data is p.data]
+                stack.extend(node._parents)
+        assert len(seen) > 1 and not passes, f"{len(passes)} pass-through nodes"
+
     def test_stage_matched_skip_mode(self):
         params = build_model(tiny_config(skip_mode="stage_matched"))
         x = Tensor(np.random.default_rng(6).random((1, 3, 16, 16)).astype(np.float32))
