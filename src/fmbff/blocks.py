@@ -54,8 +54,6 @@ from .engine import (
 )
 from .errors import ConfigurationError, DimensionError
 
-FRM_DROP_P = 0.5  # dropout probability of the FRM branch
-
 
 def _gap(x):  # global average pool
     return mean_(x, axis=(2, 3))
@@ -329,9 +327,10 @@ class FrmParams:
 
 
 def frm_branch(r, params, mode, rng=None):
-    """FRM's branch on its (resized) input: dropout, depthwise-separable
-    conv, relu and batch norm; N x Cin x H x W to N x Cout x H x W."""
-    t = dropout(r, FRM_DROP_P, mode, rng)
+    """FRM's branch on its (resized) input: dropout at rate 1/2,
+    depthwise-separable conv, relu and batch norm; N x Cin x H x W to
+    N x Cout x H x W."""
+    t = dropout(r, mode, rng)
     t = conv2d(conv2d(t, *params.dw, pad=1, groups=r.shape[1]), *params.pw)
     return batch_norm(relu(t), *params.bn, mode)
 

@@ -188,7 +188,19 @@ def cmd_train(args):
         train_set = expanded
 
     params = build_model(model_config)
-    params, state, history = train_mod.train(params, train_set, val_set, train_config)
+    epoch_start = time.perf_counter()
+
+    def log_epoch(row):
+        """One progress line per epoch on stderr; the output files carry no timing."""
+        nonlocal epoch_start
+        now = time.perf_counter()
+        print(f"epoch {row['epoch']}/{train_config.max_epochs}  loss {row['loss']:.4f}  "
+              f"val dice {row['val_dice']:.4f}  lr {row['lr']:.3g}  {now - epoch_start:.1f}s",
+              file=sys.stderr, flush=True)
+        epoch_start = now
+
+    params, state, history = train_mod.train(params, train_set, val_set, train_config,
+                                             log_fn=log_epoch)
 
     os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "ckpt.fmbf")

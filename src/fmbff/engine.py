@@ -2,14 +2,14 @@
 
 Layout convention for image-like data is N x C x H x W.  Every operation
 returns a fresh Tensor whose backward closure scatters gradients into its
-inputs, bar an identity (a same-size resize, dropout in eval mode or at
-p = 0), which returns its input; ``backward(loss)`` runs the whole reverse
-sweep and frees each interior gradient once its closure has consumed it, so
-only leaves hold ``.grad`` afterwards and a step's memory is bounded by what
-the rest of the sweep still needs.  Closures keep compact state (bool masks
-rather than float ones) for the same reason, and a gradient that a closure
-computes afresh becomes its input's ``.grad`` without a copy; only a view of
-the gradient being propagated (a pass-through, a slice, a broadcast) is copied.
+inputs, bar an identity (a same-size resize, dropout in eval mode), which
+returns its input; ``backward(loss)`` runs the whole reverse sweep and frees
+each interior gradient once its closure has consumed it, so only leaves hold
+``.grad`` afterwards and a step's memory is bounded by what the rest of the
+sweep still needs.  Closures keep compact state (bool masks rather than
+float ones) for the same reason, and a gradient that a closure computes
+afresh becomes its input's ``.grad`` without a copy; only a view of the
+gradient being propagated (a pass-through, a slice, a broadcast) is copied.
 
 Forward values live only as long as a closure reads them.  A closure
 captures exactly the arrays it reads, and that capture is the only record
@@ -35,9 +35,9 @@ the tensor it meets.
 
 Inside ``with no_grad():`` ops record no graph: each result keeps no parents
 and no backward closure, so the arrays only a backward pass would read are
-freed at once.  ``model.predict_probs`` runs its batches under it, and
-``gradcheck`` its perturbed and repeated evaluations, none of which is ever
-differentiated.
+freed at once.  ``model.predict_probs`` runs its resizes and batches under
+it, and ``gradcheck`` its perturbed and repeated evaluations, none of which
+is ever differentiated.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError, StateError, UsageError
 
 NORM_EPS = 1e-5  # variance offset of both normalizations
-# Working set of one chunk of a blocked loop (depthwise conv, dropout): small
-# enough to stay in a core's L2 cache while the loop makes several passes.
+# Working set of one chunk of the depthwise conv's blocked loop: small enough
+# to stay in a core's L2 cache while the loop makes several passes.
 _CACHE_BYTES = 256 * 1024
 # Elements per ufunc buffer inside the depthwise conv.  NumPy runs a ufunc
 # whose operands do not flatten to one loop (a row-strided slice times one
@@ -877,32 +877,28 @@ def channel_shuffle(x, groups):
     return Tensor._from_op(np.ascontiguousarray(data), (x,), back)
 
 
-def dropout(x, p, mode, rng=None):
-    """Inverted dropout, deterministic under a fixed rng; eval mode or p = 0 returns ``x``."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
-    if mode == "eval" or p == 0.0:
+def dropout(x, mode, rng=None):
+    """Inverted dropout at rate 1/2, deterministic under a fixed rng; eval mode returns ``x``.
+
+    Element e of the flat array is kept, and doubled, when bit e mod 64 of raw
+    word e div 64 of ``rng``'s bit generator is set: one fair bit per element.
+    The words are read little-endian, so the mask does not depend on the
+    host's byte order, and a call advances the generator by exactly
+    ceil(n / 64) words, so a copy advanced by e div 64 words yields element
+    e's bit.  The closure holds the bool mask, one byte per element.
+    """
+    if mode == "eval":
         return x
     if mode != "train":
         raise ConfigurationError(f"unknown mode {mode!r}")
     if rng is None:
         raise UsageError("train-mode dropout requires an rng")
-    # The mask is drawn in chunks that stay in cache: the same stream as one
-    # ``rng.random(x.shape)``, without its float64 array.  The float mask is
-    # rebuilt as ``keep * scale`` in each pass so the closure holds one byte
-    # per element; the values equal those of ``keep.astype(dtype) / (1 - p)``
-    # bit for bit.
-    keep = np.empty(x.shape, dtype=bool)
-    flat = keep.reshape(-1)
-    draws = np.empty(max(1, min(flat.size, _CACHE_BYTES // 8)))
-    for lo in range(0, flat.size, draws.size):
-        chunk = draws[: flat.size - lo]
-        rng.random(out=chunk)
-        np.greater_equal(chunk, p, out=flat[lo : lo + chunk.size])
-    scale = np.ones((), dtype=x.data.dtype) / (1.0 - p)
-    return Tensor._from_op(
-        x.data * (keep * scale), (x,), lambda g: _accumulate(x, g * (keep * scale))
-    )
+    n = x.data.size
+    words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
+    keep = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
+    keep = keep.view(bool).reshape(x.shape)
+    two = x.data.dtype.type(2)
+    return Tensor._from_op(x.data * keep * two, (x,), lambda g: _accumulate(x, g * keep * two))
 
 
 # ---------------------------------------------------------------------------
@@ -928,10 +924,7 @@ class ParamStore:
     def add(self, name, data):
         if name in self._entries:
             raise UsageError(f"duplicate parameter name {name!r}")
-        t = data if isinstance(data, Tensor) else Tensor(data)
-        if not t.is_leaf():
-            raise UsageError(f"parameter {name!r} must be a leaf tensor")
-        self._entries[name] = t
+        t = self._entries[name] = Tensor(data)
         return t
 
     def conv(self, name, cout, cin_g, kh, kw, bias=0.0):

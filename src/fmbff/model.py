@@ -292,16 +292,16 @@ def predict_probs(params, images, batch_size):
     Images may have any extent: each one that differs from
     ``config.input_size`` is resized to it, the network runs in batches of
     ``batch_size``, and each map is resized back to its own image's extent.
-    The batches run under ``no_grad``.
+    The resizes and the batches run under ``no_grad``.
     """
     h, w = params.config.input_size
-    resized = [bilinear_resize(Tensor(image[None]), h, w).data[0] for image in images]
-    probs = []
     with no_grad():
+        resized = [bilinear_resize(Tensor(image[None]), h, w).data[0] for image in images]
+        probs = []
         for start in range(0, len(resized), batch_size):
             x = Tensor(np.stack(resized[start : start + batch_size]))
             probs.extend(model_forward(x, params, mode="eval").f_out.data)
-    return [
-        bilinear_resize(Tensor(prob[None]), *image.shape[1:]).data[0]
-        for image, prob in zip(images, probs)
-    ]
+        return [
+            bilinear_resize(Tensor(prob[None]), *image.shape[1:]).data[0]
+            for image, prob in zip(images, probs)
+        ]

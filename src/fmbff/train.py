@@ -97,7 +97,7 @@ class TrainState:
 
 def loss(pred, gt, w_bce=1.0, w_dice=1.0):
     """Weighted BCE + (1 - soft Dice) on probability maps in (0, 1)."""
-    gt_arr = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=pred.data.dtype)
+    gt_arr = np.asarray(gt, dtype=pred.data.dtype)
     if pred.shape != gt_arr.shape:
         raise DimensionError(f"pred {pred.shape} and gt {gt_arr.shape} differ")
     clamped = clip(pred, 1e-7, 1.0 - 1e-7)
@@ -167,10 +167,10 @@ def early_stop(state: TrainState, cfg: TrainConfig):
 
 
 def validation_dice(params, samples, batch_size):
-    masks = np.stack([s.mask for s in samples])
-    probs = np.stack(predict_probs(params, [s.image for s in samples], batch_size))
-    confusions = metrics_mod.confusion(probs, masks)
-    return float(np.mean([metrics_mod.metrics_from(c)["d"] for c in confusions]))
+    """Mean per-image Dice of the eval-mode maps, as ``fmbff eval`` reports it."""
+    probs = predict_probs(params, [s.image for s in samples], batch_size)
+    masks = {i: s.mask for i, s in enumerate(samples)}
+    return metrics_mod.evaluate(dict(enumerate(probs)), masks).aggregate["d"][0]
 
 
 def _train_step(params, state, x, y, cfg, epoch):
@@ -194,7 +194,8 @@ def _train_step(params, state, x, y, cfg, epoch):
 
 def train(params: ModelParams, train_set, val_set, cfg: TrainConfig,
           stop_at_metric=None, log_fn=None):
-    """Epoch loop returning (params restored to the best epoch, history).
+    """Epoch loop returning (params restored to the best epoch, the final
+    TrainState, history).
 
     History rows carry epoch, mean train loss, the lr in effect during the
     epoch, and validation Dice.  ``stop_at_metric`` allows regression tests

@@ -155,6 +155,28 @@ class TestTrain:
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["checkpoint_sha256"] is not None
 
+    def test_progress_line_per_epoch_on_stderr(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        cli.main(["synth", "--n", "5", "--size", "16x16", "--out", str(ds)])
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY_CONFIG + "train.max_epochs = 3\n")
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(ds), "--config", str(cfg),
+                         "--out", str(run)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("trained 3 epochs; best val dice ") and out.count("\n") == 1, out
+        rows = [line.split(",") for line in (run / "history.csv").read_text().splitlines()[1:]]
+        lines = err.splitlines()
+        assert len(lines) == len(rows) == 3, err
+        for line, (epoch, loss, lr, dice) in zip(lines, rows):
+            fields = line.split("  ")
+            assert fields[0] == f"epoch {epoch}/3" and fields[3] == f"lr {float(lr):.3g}", line
+            assert fields[1].startswith("loss ") and fields[2].startswith("val dice "), line
+            assert abs(float(fields[1][5:]) - float(loss)) <= 5.1e-5, line
+            assert abs(float(fields[2][9:]) - float(dice)) <= 5.1e-5, line
+            assert fields[4].endswith("s") and float(fields[4][:-1]) >= 0, line
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         cli.main(["synth", "--n", "5", "--size", "16x16", "--out", str(ds)])

@@ -164,7 +164,6 @@ EXEMPT_PARAMS = {
     "tsa_forward.return_attn",  # acceptance criteria 2 and 4
     "gsa_forward.return_attn",  # acceptance criteria 2 and 4
     "train.stop_at_metric",  # acceptance criterion 6
-    "train.log_fn",  # tests/test_train.py
     "main.argv",  # the console script
     "conv2d.stride",  # acceptance criterion 3 and tests/test_tensor.py
 }

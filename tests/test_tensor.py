@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fmbff.engine import (
+    _CACHE_BYTES,
     _accumulate,
     _erf,
     _linear_weights,
@@ -379,6 +380,94 @@ def test_resize_and_pool_sweep_against_loops():
         assert np.array_equal(got, want) and np.array_equal(x.grad, dx), where
 
 
+# Input layouts of the conv sweep: (shape of the base array for a given
+# N x C x H x W, the N x C x H x W view of it).
+CONV_LAYOUTS = [
+    (lambda n, c, h, w: (n, c, h, w), lambda a: a),
+    (lambda n, c, h, w: (n, h, w, c), lambda a: a.transpose(0, 3, 1, 2)),
+    (lambda n, c, h, w: (n, c + 1, 2 * h, w + 2), lambda a: a[:, 1:, ::2, 1:-1]),
+]
+
+
+def _chunked_depthwise_shape(rng, kh, kw, ph, pw):
+    """N, C, H, W of a float64 depthwise conv whose channels run over several
+    cache-sized chunks, the last one partial."""
+    m = int(rng.integers(2, 5))  # channels per chunk
+    c = m * int(rng.integers(1, 3)) + int(rng.integers(1, m))
+    n = int(rng.integers(4, 9))
+    wp = int(rng.integers(max(kw, 2 * pw + 1), 60))
+    # the fewest padded rows whose N planes outgrow a chunk of m + 1 channels
+    hp = -(-(_CACHE_BYTES // (8 * (m + 1)) + 1) // (n * wp))
+    return n, c, hp - 2 * ph, wp - 2 * pw
+
+
+def test_conv_sweep_against_naive():
+    """Seeded differential sweep of ``conv2d`` against ``_naive_conv``.
+
+    Kernels of 1-5 per axis, stride 1-3, pad 0-3, dense or depthwise, on
+    contiguous, permuted and sliced inputs; every sixth case is a depthwise
+    conv whose channels cross the lowering's chunk boundary, with a partial
+    last chunk.  Inputs hold float32 values, so one float64 oracle serves
+    both types: float64 output within 1e-12, float32 output within the
+    rounding bound of its reduction, (L + 1) * eps * (|x| conv |w| + |b|)
+    for L = Cin/groups * kh * kw.  dx, dw and db are each checked along one
+    random direction by central differences, exact up to rounding because
+    the conv is linear in each operand.
+    """
+    rng = np.random.default_rng(SWEEP_SEED)
+    eps32 = float(np.finfo(np.float32).eps)
+    for case in range(300):
+        where = f"seed {SWEEP_SEED} case {case}"
+        kh, kw = (int(v) for v in rng.integers(1, 6, 2))
+        ph, pw = (int(v) for v in rng.integers(0, 4, 2))
+        if case % 6 == 0:
+            sh, sw = (int(v) for v in rng.integers(2, 4, 2))
+            n, c, h, w = _chunked_depthwise_shape(rng, kh, kw, ph, pw)
+            m = _CACHE_BYTES // (n * (h + 2 * ph) * (w + 2 * pw) * 8)
+            assert 1 < m < c and c % m, where
+            depthwise = True
+        else:
+            sh, sw = (int(v) for v in rng.integers(1, 4, 2))
+            n, c = (int(v) for v in rng.integers(1, [4, 7]))
+            h = int(rng.integers(max(1, kh - 2 * ph), kh + 7))
+            w = int(rng.integers(max(1, kw - 2 * pw), kw + 7))
+            depthwise = rng.random() < 0.5
+        groups, cout = (c, c) if depthwise else (1, int(rng.integers(1, 6)))
+        base_shape, view = CONV_LAYOUTS[case % 3]
+        base = rng.standard_normal(base_shape(n, c, h, w)).astype(np.float32)
+        x64, x32 = view(base.astype(np.float64)), view(base)
+        w64 = rng.standard_normal((cout, c // groups, kh, kw)).astype(np.float32).astype(np.float64)
+        b64 = rng.standard_normal(cout).astype(np.float32).astype(np.float64)
+        args = {"stride": (sh, sw), "pad": (ph, pw), "groups": groups}
+
+        ref = _naive_conv(x64, w64, b64, (sh, sw), (ph, pw), groups)
+        x, wt, b = (Tensor(a, np.float64) for a in (x64, w64, b64))
+        out = conv2d(x, wt, b, **args)
+        assert out.shape == ref.shape, where
+        np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12, err_msg=where)
+
+        got = conv2d(*(Tensor(a) for a in (x32, w64, b64)), **args).data  # float32 leaves
+        mag = conv2d(*(Tensor(np.abs(a), np.float64) for a in (x64, w64, b64)), **args).data
+        reduction = (c // groups) * kh * kw
+        assert got.dtype == np.float32, where
+        assert (np.abs(got - ref) <= (reduction + 1) * eps32 * mag).all(), where
+
+        probe = rng.standard_normal(ref.shape)
+        backward(sum_(mul(out, probe)))
+        values, grads = [x64, w64, b64], [x.grad, wt.grad, b.grad]
+        scale = np.abs(probe).sum() * (1.0 + np.abs(ref).max())
+        for k, name in enumerate(("dx", "dw", "db")):
+            d = rng.standard_normal(values[k].shape)
+            sides = []
+            for sign in (1.0, -1.0):
+                moved = [v + sign * d if i == k else v for i, v in enumerate(values)]
+                with no_grad():
+                    y = conv2d(*(Tensor(v, np.float64) for v in moved), **args).data
+                sides.append(np.vdot(y, probe))
+            err = abs((sides[0] - sides[1]) / 2 - np.vdot(grads[k], d))
+            assert err <= 1e-10 * scale, (where, name, err)
+
+
 class TestNormalize:
     def test_constant_zero(self):
         x = Tensor(np.full((2, 3, 4, 4), 9.0, dtype=np.float32))
@@ -602,60 +691,49 @@ class TestRearrange:
 class TestDropout:
     def test_eval_identity(self):
         x = Tensor(np.random.default_rng(10).random((1, 2, 3, 3)).astype(np.float32))
-        assert dropout(x, 0.5, "eval") is x
-
-    def test_p_zero_identity(self):
-        x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
-        assert dropout(x, 0.0, "train") is x
+        assert dropout(x, "eval") is x
 
     def test_scaling_contract(self):
         x = Tensor(np.full((1, 1, 10, 10), 3.0, dtype=np.float32))
-        out = dropout(x, 0.5, "train", np.random.default_rng(0)).data
+        out = dropout(x, "train", np.random.default_rng(0)).data
         assert set(np.unique(out).tolist()) <= {0.0, 6.0}
 
-    @pytest.mark.parametrize("p", [0.5, 0.3])
-    def test_train_matches_float_mask_bitwise(self, p):
-        """Output and gradient equal the float64-draw float mask exactly.
+    def test_mask_is_raw_bits_and_seekable(self):
+        """Element e is kept, and doubled, when bit e % 64 of raw word e // 64
+        is set, for output and gradient alike; the call consumes exactly
+        ceil(n / 64) words; a generator advanced by e // 64 words yields
+        element e's bit.  1050 elements end in a partial word.
 
-        This pins the RNG stream: a mask drawn any other way (e.g. in float32)
-        changes which units a seed drops and must update this test.
+        This pins the RNG stream: a mask drawn any other way changes which
+        units a seed drops and must update this test.
         """
-        rng = np.random.default_rng(18)
-        data = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-        w = rng.standard_normal(data.shape).astype(np.float32)
-        mask = (np.random.default_rng(7).random(data.shape) >= p).astype(np.float32) / (1 - p)
-        x = Tensor(data)
-        out = dropout(x, p, "train", np.random.default_rng(7))
-        assert out.data.dtype == np.float32
-        assert out.data.tobytes() == (data * mask).tobytes()
-        backward(sum_(mul(out, w)))
-        assert x.grad.tobytes() == (w * mask).tobytes()
-
-    def test_chunked_mask_is_one_draw(self):
-        """A mask drawn over several chunks, the last one partial, is the mask
-        of one ``rng.random`` call and leaves the generator in its state."""
-        shape = (3, 5, 100, 100)
+        shape = (3, 5, 10, 7)
+        n = math.prod(shape)
+        words = -(-n // 64)
         rng = np.random.default_rng(22)
-        data = rng.uniform(0.5, 1.5, shape).astype(np.float32)
+        data = rng.standard_normal(shape).astype(np.float32)
         w = rng.standard_normal(shape).astype(np.float32)
-        ref, drawn = np.random.default_rng(9), np.random.default_rng(9)
-        keep = ref.random(shape) >= 0.3
+        drawn = np.random.default_rng(9)
+        ref = np.random.default_rng(9).bit_generator
+        raw = ref.random_raw(words)
+        mask = np.array([(int(raw[e // 64]) >> (e % 64)) & 1 for e in range(n)], dtype=bool)
+        mask = mask.reshape(shape)
         x = Tensor(data)
-        out = dropout(x, 0.3, "train", drawn)
-        assert drawn.bit_generator.state == ref.bit_generator.state
-        assert (out.data != 0).tobytes() == keep.tobytes()
-        scaled = keep * (np.ones((), np.float32) / 0.7)
-        assert out.data.tobytes() == (data * scaled).tobytes()
+        out = dropout(x, "train", drawn)
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == (data * mask * np.float32(2)).tobytes()
+        assert drawn.bit_generator.state == ref.state
         backward(sum_(mul(out, w)))
-        assert x.grad.tobytes() == (w * scaled).tobytes()
-
-    def test_bad_p(self):
-        with pytest.raises(ConfigurationError):
-            dropout(Tensor(np.zeros(1)), 1.0, "train", np.random.default_rng(0))
+        assert x.grad.tobytes() == (w * mask * np.float32(2)).tobytes()
+        for e in (0, 63, 64, n - 1):
+            seek = np.random.default_rng(9).bit_generator
+            seek.advance(e // 64)
+            bit = (int(seek.random_raw()) >> (e % 64)) & 1
+            assert bit == mask.reshape(-1)[e], e
 
     def test_missing_rng(self):
         with pytest.raises(UsageError):
-            dropout(Tensor(np.zeros(1)), 0.5, "train")
+            dropout(Tensor(np.zeros(1)), "train")
 
 
 class TestBackward:
@@ -753,8 +831,7 @@ def _every_op_graph(rng):
     t = add(conv2d(channel_slice(t, 0, 2), channel_slice(w1, 0, 2), b1),
             conv2d(channel_slice(t, 2, 4), channel_slice(w1, 2, 4)))
     t = batch_norm(t, scale, shift, BatchNormState(4), "train")
-    t = layer_norm(dropout(channel_shuffle(t, 2), 0.5, "train", np.random.default_rng(0)),
-                   scale, shift)
+    t = layer_norm(dropout(channel_shuffle(t, 2), "train", np.random.default_rng(0)), scale, shift)
     t = concat([max_pool2x2(t), bilinear_resize(t, 3, 3)], axis=1)
     tokens = reshape(permute(t, (0, 2, 3, 1)), (2, 9, 8))
     attn = softmax(matmul(tokens, permute(tokens, (0, 2, 1))), -1)
@@ -841,8 +918,8 @@ def _random_graph(rng):
         lambda a, b: permute(permute(a, (0, 2, 3, 1)), (0, 3, 1, 2)),
         lambda a, b: channel_shuffle(a, 2),
         lambda a, b: concat([channel_slice(a, 1, c), channel_slice(b, 0, 1)], axis=1),
-        lambda a, b: dropout(a, 0.5, "train", drop_rng),
-        lambda a, b: dropout(a, 0.5, "eval"),
+        lambda a, b: dropout(a, "train", drop_rng),
+        lambda a, b: dropout(a, "eval"),
         lambda a, b: bilinear_resize(a, h, w),
         lambda a, b: bilinear_resize(max_pool2x2(a), h, w),
         lambda a, b: conv2d(a, p["w3"], pad=1),
