@@ -930,8 +930,8 @@ class ParamStore:
     def conv(self, name, cout, cin_g, kh, kw, bias=0.0):
         """Register ``name.w`` then ``name.b`` (filled with ``bias``); returns (w, b)."""
         bound = 1.0 / math.sqrt(cin_g * kh * kw)
-        data = self._rng.uniform(-bound, bound, size=(cout, cin_g, kh, kw))
-        w = self.add(f"{name}.w", data)
+        w = self._new(f"{name}.w", (cout, cin_g, kh, kw),
+                      lambda shape: self._rng.uniform(-bound, bound, size=shape))
         return w, self.full(f"{name}.b", (cout,), bias)
 
     def norm(self, name, c):
@@ -946,10 +946,20 @@ class ParamStore:
         return scale, shift, state
 
     def full(self, name, shape, value):
-        return self.add(name, np.full(shape, value))
+        return self._new(name, shape, lambda shape: np.full(shape, value))
 
     def matrix(self, name, rows, cols, scale):
-        return self.add(name, self._rng.uniform(-scale, scale, size=(rows, cols)))
+        return self._new(name, (rows, cols),
+                         lambda shape: self._rng.uniform(-scale, scale, size=shape))
+
+    def _new(self, name, shape, make):
+        """Register ``make(shape)`` as ``name``.  Shapes come from the model
+        config, so one NumPy cannot represent is a config error."""
+        try:
+            data = make(shape)
+        except ValueError as exc:
+            raise ConfigurationError(f"parameter {name!r} of shape {shape}: {exc}") from None
+        return self.add(name, data)
 
     def __getitem__(self, name):
         return self._entries[name]

@@ -1,9 +1,10 @@
 """64-bit finite-difference verification of every backward rule.
 
-Block suites perturb every coordinate of every parameter (shapes are tiny,
-at most (1, 4, 6, 6)).  The full-model suite uses one random-direction
-probe per parameter tensor so it stays inside a desk-scale time budget.
-Both take their central differences from ``_fd_errors``.
+Every check takes one backward for all its tensors, then central differences
+along the directions it is given (``_gradient_errors``).  Block suites perturb
+every coordinate of every parameter (shapes are tiny, at most (1, 4, 6, 6)).
+The full-model suite takes one random unit direction per parameter tensor so
+it stays inside a desk-scale time budget.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from .engine import ParamStore, Tensor, backward, mul, no_grad, sum_
 from .errors import UsageError
 from .model import ModelConfig, build_model, model_forward
 
-BLOCK_NAMES = ("fmcab", "biffm", "vitm", "frm", "model")
-
 BLOCK_TOLERANCE = 1e-5
 MODEL_TOLERANCE = 1e-4
 # Central-difference step, and the magnitude floor of the relative error that
@@ -27,9 +26,10 @@ FD_FLOOR = 1e-3
 
 def _fd_errors(f, t, grad, directions):
     """Relative error between ``grad`` and the central difference of ``f()``
-    along each direction.  ``t.data`` is replaced by each perturbed copy in
-    turn, and the original array is put back afterwards.  The perturbed
-    evaluations run under ``no_grad``: nothing differentiates them."""
+    along each direction.  Finite values give at most 1, so any other error
+    reads ``inf``, NaN included.  ``t.data`` is replaced by each perturbed
+    copy in turn, and the original array is put back afterwards.  The
+    perturbed evaluations run under ``no_grad``: nothing differentiates them."""
     orig = t.data
     errors = []
     try:
@@ -41,70 +41,60 @@ def _fd_errors(f, t, grad, directions):
                 fm = f().item()
             numeric = (fp - fm) / (2.0 * FD_STEP)
             analytic = float((grad * d).sum())
-            errors.append(
-                abs(analytic - numeric) / max(abs(analytic) + abs(numeric), FD_FLOOR)
-            )
+            err = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), FD_FLOOR)
+            errors.append(err if err <= 1.0 else np.inf)
     finally:
         t.data = orig
+    return errors
+
+
+def _unit_basis(t):
+    return (np.eye(1, t.size, k, dtype=t.data.dtype).reshape(t.shape) for k in range(t.size))
+
+
+def _gradient_errors(f, named_tensors, directions):
+    """(name, max relative error) per named tensor, along the arrays
+    ``directions(t)`` yields (0.0 for none).  ``f()`` must return a scalar
+    Tensor and be deterministic, which two evaluations verify.  The one
+    backward gives every gradient, 0 for a tensor it does not reach."""
+    y = f()
+    with no_grad():
+        y2 = f()
+    if not isinstance(y, Tensor) or y.size != 1:
+        raise UsageError("f must return a scalar Tensor")
+    if y.item() != y2.item():
+        raise UsageError("f is not deterministic; finite differences are invalid")
+
+    for _, t in named_tensors:
+        t.grad = None
+    if not y.is_leaf():
+        backward(y)
+    errors = []
+    for name, t in named_tensors:
+        grad = np.zeros_like(t.data) if t.grad is None else t.grad
+        errors.append((name, max(_fd_errors(f, t, grad, directions(t)), default=0.0)))
     return errors
 
 
 def finite_diff_check(f, x):
     """Max relative error between analytic and central-difference gradients.
 
-    ``f`` must map ``x`` to a scalar Tensor and be deterministic (run dropout
-    in eval mode); determinism is verified by evaluating twice.  ``x`` must be
-    a leaf, since ``backward`` keeps gradients on leaves only; its data may be
-    any strided array.  Each coordinate is perturbed in a copy, and the
-    original array is put back.
+    ``f`` must map ``x`` to a scalar Tensor and be deterministic (dropout,
+    for example, with a fixed rng); determinism is verified by evaluating
+    twice.  ``x`` must be a leaf, since ``backward`` keeps gradients on
+    leaves only; its data may be any strided array.  Each coordinate is
+    perturbed in a copy, and the original array is put back.
     """
     if not isinstance(x, Tensor) or not x.is_leaf():
         raise UsageError("finite_diff_check requires a leaf Tensor x")
-    y = f(x)
-    with no_grad():
-        y2 = f(x)
-    if not isinstance(y, Tensor) or y.size != 1:
-        raise UsageError("f must return a scalar Tensor")
-    if y.item() != y2.item():
-        raise UsageError("f is not deterministic; finite differences are invalid")
-
-    x.grad = None
-    if not y.is_leaf():
-        backward(y)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-    basis = (np.eye(1, x.size, k, dtype=x.data.dtype).reshape(x.shape) for k in range(x.size))
-    errors = _fd_errors(lambda: f(x), x, analytic, basis)
-    return float(np.max(errors)) if errors else 0.0
+    [(_, err)] = _gradient_errors(lambda: f(x), [("x", x)], _unit_basis)
+    return err
 
 
 def _scalarize(out):
     """Weighted sum so permutation/routing mistakes can't cancel out."""
     w = np.random.default_rng(123).standard_normal(out.shape)
     return sum_(mul(out, w))
-
-
-def _coordinate_errors(f, named_tensors):
-    return [(name, finite_diff_check(lambda _x: f(), t)) for name, t in named_tensors]
-
-
-def _directional_errors(f, named_tensors):
-    for _, t in named_tensors:
-        t.grad = None
-    backward(f())
-    grads = {
-        name: t.grad.copy() if t.grad is not None else np.zeros_like(t.data)
-        for name, t in named_tensors
-    }
-    rng = np.random.default_rng(321)
-    errors = []
-    for name, t in named_tensors:
-        d = rng.standard_normal(t.data.shape)
-        norm = np.linalg.norm(d)
-        if norm > 0:
-            d /= norm
-        errors.append((name, _fd_errors(f, t, grads[name], [d])[0]))
-    return errors
 
 
 def _named(store: ParamStore, x: Tensor):
@@ -131,7 +121,7 @@ def _fmcab_suite():
     _jitter(store)
     x = Tensor(np.random.default_rng(1).standard_normal((1, 4, 6, 6)), np.float64)
     f = lambda: _scalarize(blocks.fmcab_forward(x, params))
-    return _coordinate_errors(f, _named(store, x))
+    return _gradient_errors(f, _named(store, x), _unit_basis)
 
 
 def _biffm_suite():
@@ -142,7 +132,7 @@ def _biffm_suite():
     d = Tensor(rng.standard_normal((1, 4, 6, 6)), np.float64)
     s = Tensor(rng.standard_normal((1, 6, 3, 3)), np.float64)
     f = lambda: _scalarize(blocks.biffm_forward(d, s, params))
-    return _coordinate_errors(f, [("input_d", d), ("input_s", s)] + list(store.items()))
+    return _gradient_errors(f, [("input_d", d), ("input_s", s)] + list(store.items()), _unit_basis)
 
 
 def _vitm_suite():
@@ -151,7 +141,7 @@ def _vitm_suite():
     _jitter(store)
     x = Tensor(np.random.default_rng(3).standard_normal((1, 4, 6, 6)), np.float64)
     f = lambda: _scalarize(blocks.vitm_forward(x, params))
-    return _coordinate_errors(f, _named(store, x))
+    return _gradient_errors(f, _named(store, x), _unit_basis)
 
 
 def _frm_suite():
@@ -166,7 +156,7 @@ def _frm_suite():
         out = blocks.frm_forward(x, params, mode="train", rng=np.random.default_rng(7))
         return _scalarize(out)
 
-    return _coordinate_errors(f, _named(store, x))
+    return _gradient_errors(f, _named(store, x), _unit_basis)
 
 
 def _model_suite():
@@ -187,7 +177,13 @@ def _model_suite():
         trace = model_forward(x, params, mode="train", rng=np.random.default_rng(7))
         return _scalarize(trace.f_out)
 
-    return _directional_errors(f, _named(params.store, x))
+    rng = np.random.default_rng(321)
+
+    def directions(t):
+        d = rng.standard_normal(t.data.shape)
+        return [d / np.linalg.norm(d)]
+
+    return _gradient_errors(f, _named(params.store, x), directions)
 
 
 _SUITES = {
@@ -197,6 +193,7 @@ _SUITES = {
     "frm": _frm_suite,
     "model": _model_suite,
 }
+BLOCK_NAMES = tuple(_SUITES)
 
 
 def run_suite(block):

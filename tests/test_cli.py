@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fmbff import cli, data
+from fmbff import cli, data, gradcheck
+from fmbff.engine import Tensor, _accumulate
 from fmbff.errors import ConfigurationError
 from fmbff.model import ModelConfig, build_model, predict_probs
 from fmbff.train import TrainConfig
@@ -316,6 +317,23 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line,param", [
+        ("model.input_size = 4611686018427387904x16", "vitm.pos_embed"),
+        ("model.in_channels = 4611686018427387904", "enc1.conv1.w"),
+    ], ids=["input_size", "in_channels"])
+    def test_unrepresentable_model_size_exits_2(self, tmp_path, capsys, line, param):
+        # 2**62: NumPy rejects the shape before it allocates anything
+        ds = tmp_path / "ds"
+        cli.main(["synth", "--n", "5", "--size", "16x16", "--out", str(ds)])
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY_CONFIG + line + "\n")
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(ds), "--config", str(cfg),
+                         "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: parameter '{param}' of shape (")
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
 
 class TestEvalPredict:
     def test_predict_extents_match_input(self, tmp_path, capsys):
@@ -412,6 +430,22 @@ class TestEvalPredict:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
+    def test_unrepresentable_checkpoint_size_exits_3(self, tmp_path, capsys):
+        # 2**62: NumPy rejects the shape before it allocates anything
+        params, _ = train_mod.load_checkpoint(tiny_checkpoint(tmp_path))
+        params.config = dataclasses.replace(params.config, input_size=(2**62, 16))
+        ckpt = tmp_path / "huge.fmbf"
+        train_mod.save_checkpoint(ckpt, params)
+        img_path = tmp_path / "probe.ppm"
+        data.write_image(img_path, data.generate_synthetic(1, size=(16, 16), seed=1)[0].image)
+        capsys.readouterr()
+        assert cli.main(["predict", "--image", str(img_path), "--ckpt", str(ckpt),
+                         "--out", str(tmp_path / "pred")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "stored model config is invalid: parameter 'vitm.pos_embed'" in err, err
+        assert "Traceback" not in err
+
     def test_dataset_without_manifest_missing_mask_exits_3(self, tmp_path, capsys):
         ckpt = tiny_checkpoint(tmp_path)
         ds = tmp_path / "ds"
@@ -462,3 +496,17 @@ class TestGradcheckCommand:
         printed = capsys.readouterr().out
         assert printed.startswith("fmcab: max relative error")
         assert "biffm" not in printed
+
+    def test_nan_gradient_exits_4(self, capsys, monkeypatch):
+        # The NaN enters at the suite's scalar, so every gradient carries it.
+        scalarize = gradcheck._scalarize
+
+        def poisoned(out):
+            s = scalarize(out)
+            return Tensor._from_op(s.data, (s,), lambda g: _accumulate(s, g * np.nan))
+
+        monkeypatch.setattr(gradcheck, "_scalarize", poisoned)
+        assert cli.main(["gradcheck", "--blocks", "frm"]) == 4
+        printed = capsys.readouterr().out
+        assert printed.startswith("frm: max relative error inf")
+        assert "FAIL frm/input: inf" in printed

@@ -48,7 +48,8 @@ from fmbff.errors import (
     StateError,
     UsageError,
 )
-from fmbff.gradcheck import _directional_errors, finite_diff_check
+from fmbff import blocks, gradcheck
+from fmbff.gradcheck import _gradient_errors, finite_diff_check
 
 
 def gap(x):
@@ -1029,16 +1030,50 @@ class TestFiniteDiff:
 
     def test_wrong_gradient_caught(self):
         """A backward that drops its factor 2 gives analytic 1 against numeric 2,
-        a relative error of 1/3, on the per-coordinate and directional paths."""
+        a relative error of 1/3, on per-coordinate and random directions."""
         def f(t):
             return sum_(Tensor._from_op(t.data * 2, (t,), lambda g: _accumulate(t, g)))
 
         x = Tensor(np.random.default_rng(17).standard_normal((2, 3)), np.float64)
         data, before = x.data, x.data.tobytes()
         assert finite_diff_check(f, x) == pytest.approx(1 / 3, rel=1e-6)
-        [(name, err)] = _directional_errors(lambda: f(x), [("x", x)])
+        d = np.random.default_rng(18).standard_normal(x.shape)
+        [(name, err)] = _gradient_errors(lambda: f(x), [("x", x)], lambda t: [d / np.linalg.norm(d)])
         assert name == "x" and err == pytest.approx(1 / 3, rel=1e-6)
         assert x.data is data and x.data.tobytes() == before
+
+    def test_nan_gradient_reads_inf(self):
+        """A NaN error would pass ``err > tolerance`` and hide in ``max``."""
+        def f(t):
+            return sum_(Tensor._from_op(t.data * 2, (t,), lambda g: _accumulate(t, g * np.nan)))
+
+        x = Tensor(np.random.default_rng(19).standard_normal(3), np.float64)
+        assert finite_diff_check(f, x) == math.inf
+
+    def test_nondeterministic_rejected_on_random_directions(self):
+        x = Tensor(np.random.default_rng(20).standard_normal(4), np.float64)
+        d = np.random.default_rng(21).standard_normal(4)
+        rng = np.random.default_rng(0)
+        with pytest.raises(UsageError):
+            _gradient_errors(lambda: sum_(mul(x, float(rng.random()))), [("x", x)],
+                             lambda t: [d / np.linalg.norm(d)])
+
+    def test_block_suite_takes_one_backward(self, monkeypatch):
+        """fmcab's 21 tensors (531 coordinates) share one backward; the block
+        runs twice for the determinism check and twice per coordinate."""
+        counts = {"backward": 0, "fmcab_forward": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                counts[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gradcheck, "backward", counted(gradcheck.backward))
+        monkeypatch.setattr(blocks, "fmcab_forward", counted(blocks.fmcab_forward))
+        errors, _ = gradcheck.run_suite("fmcab")
+        assert len(errors) == 21
+        assert counts == {"backward": 1, "fmcab_forward": 2 + 2 * 531}
 
 
 @pytest.mark.parametrize(
