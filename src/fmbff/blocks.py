@@ -151,8 +151,8 @@ class BiffmParams:
     path2_out_1x1: tuple
 
     @classmethod
-    def build(cls, store, prefix, cd, cs, width=None, shuffle_groups=4):
-        c = cd if width is None else width
+    def build(cls, store, prefix, cd, cs, width, shuffle_groups=4):
+        c = width
         p = prefix
         return cls(
             shuffle_groups=shuffle_groups,

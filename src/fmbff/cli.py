@@ -162,14 +162,9 @@ def write_manifest(out_dir, command, seed, config, outputs, checkpoint=None):
 
 def cmd_synth(args):
     samples = data.generate_synthetic(args.n, size=tuple(args.size), seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    data.write_dataset(args.out, samples)
-    write_manifest(
-        args.out, "synth", args.seed,
-        config={"n": args.n, "size": list(args.size)},
-        outputs=[f"images/{s.id}.ppm" for s in samples]
-        + [f"masks/{s.id}_mask.pgm" for s in samples],
-    )
+    outputs = data.write_dataset(args.out, samples)
+    write_manifest(args.out, "synth", args.seed,
+                   config={"n": args.n, "size": list(args.size)}, outputs=outputs)
     print(f"wrote {len(samples)} samples to {args.out}")
     return EXIT_OK
 

@@ -2,7 +2,8 @@
 
 Native formats are binary PPM (P6, maxval 255) for images and binary PGM
 (P5, maxval 255) for masks; both are dependency-free to parse and allow
-bit-exact golden files.  Directory convention:
+bit-exact golden files.  Directory convention, which ``write_dataset`` writes
+(returning these paths) and ``load_dataset`` reads:
 
     <root>/images/<id>.ppm
     <root>/masks/<id>_mask.pgm
@@ -194,7 +195,6 @@ def augment(sample: Sample, rotation_deg, brightness) -> Sample:
     image = np.clip(image * brightness, 0.0, 1.0).astype(np.float32)
     new_id = f"{sample.id}_r{rotation_deg:03d}_b{brightness:.1f}"
     if rotation_deg == 0 and brightness == 1.0:
-        image, mask = sample.image.copy(), sample.mask.copy()
         new_id = sample.id
     return Sample(image=image, mask=mask.astype(np.float32), id=new_id)
 
@@ -232,16 +232,8 @@ def kfold(ids, k=5):
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if k > len(ids):
         raise ConfigurationError(f"k={k} exceeds dataset size {len(ids)}")
-    rng = np.random.default_rng(FOLD_SEED)
-    order = [ids[i] for i in rng.permutation(len(ids))]
-    base, extra = divmod(len(order), k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(order[start : start + size])
-        start += size
-    return folds
+    order = np.random.default_rng(FOLD_SEED).permutation(len(ids))
+    return [[ids[i] for i in part] for part in np.array_split(order, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +321,24 @@ def read_mask(path):
 # dataset directories
 
 
+def _sample_files(sid):
+    """A sample's image and mask files, relative to the dataset root."""
+    return f"images/{sid}.ppm", f"masks/{sid}_mask.pgm"
+
+
 def write_dataset(root, samples):
-    images = os.path.join(root, "images")
-    masks = os.path.join(root, "masks")
-    os.makedirs(images, exist_ok=True)
-    os.makedirs(masks, exist_ok=True)
+    """Write ``samples`` under ``root``; returns the files written, relative to it."""
+    os.makedirs(os.path.join(root, "images"), exist_ok=True)
+    os.makedirs(os.path.join(root, "masks"), exist_ok=True)
+    written = []
     for s in samples:
-        write_image(os.path.join(images, f"{s.id}.ppm"), s.image)
-        write_mask(os.path.join(masks, f"{s.id}_mask.pgm"), s.mask)
+        image, mask = _sample_files(s.id)
+        write_image(os.path.join(root, image), s.image)
+        write_mask(os.path.join(root, mask), s.mask)
+        written += [image, mask]
     with open(os.path.join(root, "manifest.txt"), "w") as fh:
         fh.write("".join(f"{s.id}\n" for s in samples))
+    return written + ["manifest.txt"]
 
 
 def load_dataset(root):
@@ -368,9 +368,9 @@ def load_dataset(root):
         raise ParseError(f"{root}: dataset lists no sample ids")
     samples = []
     for sid in ids:
-        image = read_image(os.path.join(root, "images", f"{sid}.ppm"))
-        mask = read_mask(os.path.join(root, "masks", f"{sid}_mask.pgm"))
-        sample = Sample(image=image, mask=mask, id=sid)
+        image, mask = _sample_files(sid)
+        sample = Sample(image=read_image(os.path.join(root, image)),
+                        mask=read_mask(os.path.join(root, mask)), id=sid)
         sample.validate()
         samples.append(sample)
     return samples

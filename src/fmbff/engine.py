@@ -535,10 +535,7 @@ def _conv_gemm(x, w, sh, sw, ph, pw, ho, wo):
             if kh * kw > 1:
                 dflat[:, :, s : s + span] += np.matmul(taps[t].T, g1)
             dw[:, :, t] = np.matmul(g1, flat[:, :, s : s + span].swapaxes(1, 2)).sum(axis=0)
-        if view:
-            dx = dflat.reshape(n, cin, h, wd)
-        else:
-            dx = dflat[:, :, : hp * wp].reshape(n, cin, hp, wp)[:, :, ph : ph + h, pw : pw + wd]
+        dx = dflat[:, :, : hp * wp].reshape(n, cin, hp, wp)[:, :, ph : ph + h, pw : pw + wd]
         return dx, dw.reshape(w.shape)
 
     return out, grads
@@ -954,10 +951,10 @@ class ParamStore:
 
     def _new(self, name, shape, make):
         """Register ``make(shape)`` as ``name``.  Shapes come from the model
-        config, so one NumPy cannot represent is a config error."""
+        config, so one NumPy cannot represent or allocate is a config error."""
         try:
             data = make(shape)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             raise ConfigurationError(f"parameter {name!r} of shape {shape}: {exc}") from None
         return self.add(name, data)
 

@@ -62,7 +62,7 @@ def _gradient_errors(f, named_tensors, directions):
         y2 = f()
     if not isinstance(y, Tensor) or y.size != 1:
         raise UsageError("f must return a scalar Tensor")
-    if y.item() != y2.item():
+    if not np.array_equal(y.data, y2.data, equal_nan=True):
         raise UsageError("f is not deterministic; finite differences are invalid")
 
     for _, t in named_tensors:

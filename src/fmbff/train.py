@@ -517,10 +517,13 @@ def load_checkpoint(path):
             rng = _decode_rng(words)
         except (OverflowError, ValueError):
             raise entries.bad("state/rng", "is not a PCG64 generator state")
+        best = float(entries.shaped("state/best", ()))
+        if best != -math.inf and not 0.0 <= best <= 1.0:
+            raise entries.bad("state/best", f"holds {best}, not -inf or a value in [0, 1]")
         state = TrainState(
-            lr=float(entries.shaped("state/lr", ())),
+            lr=float(entries.finite("state/lr", (), 0.0)),
             epoch=count("state/epoch"),
-            best_val_metric=float(entries.shaped("state/best", ())),
+            best_val_metric=best,
             epochs_since_best=count("state/since_best"),
             epochs_since_plateau=count("state/since_plateau"),
             reductions=count("state/reductions"),

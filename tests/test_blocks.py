@@ -48,7 +48,7 @@ def _zeros(c):
 
 
 def _biffm():
-    return blocks.BiffmParams.build(ParamStore(0), "t", 4, 6)
+    return blocks.BiffmParams.build(ParamStore(0), "t", 4, 6, width=4)
 
 
 def _vitm():
@@ -108,14 +108,14 @@ class TestFocalModulation:
 class TestBiffm:
     def test_shape_contract(self):
         store = ParamStore(0)
-        params = blocks.BiffmParams.build(store, "t", 16, 40)
+        params = blocks.BiffmParams.build(store, "t", 16, 40, width=16)
         d = Tensor(np.random.default_rng(3).standard_normal((1, 16, 8, 8)).astype(np.float32))
         s = Tensor(np.random.default_rng(4).standard_normal((1, 40, 4, 4)).astype(np.float32))
         assert blocks.biffm_forward(d, s, params).shape == (1, 32, 8, 8)
 
     def test_gates_in_unit_interval(self):
         store = ParamStore(1)
-        params = blocks.BiffmParams.build(store, "t", 4, 6)
+        params = blocks.BiffmParams.build(store, "t", 4, 6, width=4)
         d = Tensor(np.random.default_rng(5).standard_normal((2, 4, 4, 4)).astype(np.float32))
         s = Tensor(np.random.default_rng(6).standard_normal((2, 6, 4, 4)).astype(np.float32))
         _, (g1, g2) = blocks.biffm_forward(d, s, params, return_gates=True)

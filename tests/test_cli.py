@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fmbff import cli, data, gradcheck
-from fmbff.engine import Tensor, _accumulate
+from fmbff.engine import Tensor, _accumulate, mul
 from fmbff.errors import ConfigurationError
 from fmbff.model import ModelConfig, build_model, predict_probs
 from fmbff.train import TrainConfig
@@ -118,6 +118,15 @@ class TestSynth:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 42
         assert manifest["command"] == "synth"
+
+    def test_manifest_lists_every_output(self, tmp_path):
+        out = tmp_path / "ds"
+        cli.main(["synth", "--n", "6", "--size", "16x16", "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*")
+                         if p.is_file() and p.name != "manifest.json")
+        assert manifest["outputs"] == written
+        assert len(written) == 13 and "manifest.txt" in written
 
     def test_bad_size_exits_2(self, tmp_path, capsys):
         # 1x1 is well formed, but no sample that small has a usable foreground
@@ -320,9 +329,11 @@ class TestTrain:
     @pytest.mark.parametrize("line,param", [
         ("model.input_size = 4611686018427387904x16", "vitm.pos_embed"),
         ("model.in_channels = 4611686018427387904", "enc1.conv1.w"),
-    ], ids=["input_size", "in_channels"])
+        ("model.in_channels = 1000000000000", "enc1.conv1.w"),
+    ], ids=["input_size", "in_channels", "in_channels_unallocatable"])
     def test_unrepresentable_model_size_exits_2(self, tmp_path, capsys, line, param):
-        # 2**62: NumPy rejects the shape before it allocates anything
+        # 2**62: NumPy rejects the shape before it allocates anything; 10**12
+        # input channels need 262 TiB, far beyond any address space
         ds = tmp_path / "ds"
         cli.main(["synth", "--n", "5", "--size", "16x16", "--out", str(ds)])
         cfg = tmp_path / "cfg.ini"
@@ -415,7 +426,7 @@ class TestEvalPredict:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "width 0" in err and "Traceback" not in err
 
-    def test_absurd_checkpoint_size_exits_2(self, tmp_path, capsys):
+    def test_absurd_checkpoint_size_exits_3(self, tmp_path, capsys):
         # far beyond a 47-bit (128 TiB) address space, so no host can allocate it
         params, _ = train_mod.load_checkpoint(tiny_checkpoint(tmp_path))
         params.config = dataclasses.replace(params.config, in_channels=10**12)
@@ -425,9 +436,10 @@ class TestEvalPredict:
         data.write_image(img_path, data.generate_synthetic(1, size=(16, 16), seed=1)[0].image)
         capsys.readouterr()
         assert cli.main(["predict", "--image", str(img_path), "--ckpt", str(ckpt),
-                         "--out", str(tmp_path / "pred")]) == 2
+                         "--out", str(tmp_path / "pred")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "stored model config is invalid: parameter 'enc1.conv1.w'" in err, err
         assert "Traceback" not in err
 
     def test_unrepresentable_checkpoint_size_exits_3(self, tmp_path, capsys):
@@ -506,6 +518,16 @@ class TestGradcheckCommand:
             return Tensor._from_op(s.data, (s,), lambda g: _accumulate(s, g * np.nan))
 
         monkeypatch.setattr(gradcheck, "_scalarize", poisoned)
+        assert cli.main(["gradcheck", "--blocks", "frm"]) == 4
+        printed = capsys.readouterr().out
+        assert printed.startswith("frm: max relative error inf")
+        assert "FAIL frm/input: inf" in printed
+
+    def test_nan_forward_exits_4(self, capsys, monkeypatch):
+        # NaN != NaN, but a NaN forward is deterministic: it must fail the
+        # check (every error reads inf), not read as a nondeterministic f
+        scalarize = gradcheck._scalarize
+        monkeypatch.setattr(gradcheck, "_scalarize", lambda out: mul(scalarize(out), np.nan))
         assert cli.main(["gradcheck", "--blocks", "frm"]) == 4
         printed = capsys.readouterr().out
         assert printed.startswith("frm: max relative error inf")

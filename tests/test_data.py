@@ -101,6 +101,11 @@ class TestSplits:
         combined = [i for f in folds for i in f]
         assert sorted(combined) == sorted(ids)
 
+    def test_kfold_contents_and_order(self):
+        # the first n mod k folds take one id more; ids keep the shuffle's order
+        folds = data.kfold([f"s{i}" for i in range(7)], k=3)
+        assert folds == [["s2", "s4", "s3"], ["s6", "s5"], ["s0", "s1"]]
+
     def test_same_seed_same_plan(self):
         ids = [f"s{i}" for i in range(37)]
         assert data.split(ids, seed=3) == data.split(ids, seed=3)

@@ -438,6 +438,11 @@ BAD_VALUES = [
     ("state/since_plateau", -1.0),
     ("state/reductions", -1.0),
     ("state/adam_t", -1.0),
+    ("state/lr", np.nan),
+    ("state/lr", -5.0),
+    ("state/lr", np.inf),
+    ("state/best", np.nan),
+    ("state/best", 7.0),
 ]
 
 # One config entry replaced by a well-formed value that breaks a model rule.
