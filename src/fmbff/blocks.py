@@ -21,6 +21,23 @@ A 1x1 conv commutes with an align-corners bilinear resize (it mixes channels,
 the resize mixes pixels with rows that sum to 1), so BiFFM projects its skip
 at the skip's own size and resizes the ``width``-channel result.  The model's
 last decoder block uses the same identity on FRM's identity channels.
+
+In eval mode an upsampling FRM branch never builds its upsampled map.
+Dropout is then the identity, so before relu and batch norm the branch is
+``pw(dw(resize(x)))``, three linear maps.  With K the depthwise kernel
+(Cin x 3 x 3), P the pointwise weight (Cout x Cin) and R_i the resize
+matrix with its rows shifted by tap offset i - 1 (zero rows where the tap
+falls in the padding), it equals
+
+    sum_ij R_i^h (sum_c P[o,c] K[c,i,j] x_c) (R_j^w)^T + P b_dw + b_pw:
+
+one 1x1 conv from Cin to 9 Cout channels at x's own size, then one
+resample by the stacked shifted matrices.  It is exact because each tap
+reads the upsampled map at a shifted row and column, which is the shifted
+rows of the resize applied to x, and because the depthwise bias is added
+after the zero padding, so it reaches every output pixel unchanged.  Train
+mode cannot use it: dropout's per-pixel mask at the output size sits
+between the resize and the depthwise conv.
 """
 
 from __future__ import annotations
@@ -31,6 +48,8 @@ from dataclasses import dataclass
 from .engine import (
     ParamStore,
     Tensor,
+    _resample,
+    _tap_weights,
     add,
     batch_norm,
     bilinear_resize,
@@ -326,17 +345,51 @@ class FrmParams:
         return sum(self.pw[0].shape[:2])  # branch width + input width
 
 
-def frm_branch(r, params, mode, rng=None):
-    """FRM's branch on its (resized) input: dropout at rate 1/2,
-    depthwise-separable conv, relu and batch norm; N x Cin x H x W to
-    N x Cout x H x W."""
-    t = dropout(r, mode, rng)
-    t = conv2d(conv2d(t, *params.dw, pad=1, groups=r.shape[1]), *params.pw)
+def _upsample(x):
+    return bilinear_resize(x, 2 * x.shape[2], 2 * x.shape[3])
+
+
+def _upsampled_separable_conv(x, params):
+    """``pw(dw(upsample(x)))`` run at x's size through the depthwise taps
+    (the identity is in the module docstring): the inner sums are one 1x1
+    conv from Cin to 9 Cout channels, laid out as (N, Cout, 3h, 3w) blocks
+    of taps, and the outer sum is one resample by the stacked shifted
+    resize matrices; ``P b_dw + b_pw`` is added last."""
+    n, cin, h, w = x.shape
+    (kd, bd), (kp, bp) = params.dw, params.pw
+    cout = kp.shape[0]
+    taps = mul(reshape(kp, (cout, 1, 1, cin)), permute(kd, (1, 2, 3, 0)))
+    z = conv2d(x, reshape(taps, (9 * cout, cin, 1, 1)))
+    z = reshape(permute(reshape(z, (n, cout, 3, 3, h, w)), (0, 1, 2, 4, 3, 5)),
+                (n, cout, 3 * h, 3 * w))
+    dtype = x.data.dtype
+    z = _resample(z, _tap_weights(h, 2 * h, dtype), _tap_weights(w, 2 * w, dtype))
+    return add(z, conv2d(reshape(bd, (1, cin, 1, 1)), kp, bp))
+
+
+def frm_branch(x, params, mode, rng=None, resized=None):
+    """FRM's branch, N x Cin x H x W to N x Cout x H' x W': dropout at rate
+    1/2 on the (upsampled) input, depthwise-separable conv, relu and batch
+    norm.  ``resized`` is x's upsample when the caller has already built it.
+
+    In eval mode dropout is the identity, so an upsampling branch runs at
+    x's size (``_upsampled_separable_conv``) and never builds the upsampled
+    map.  Train mode cannot: dropout's per-pixel mask at the output size
+    sits between the resize and the depthwise conv.
+    """
+    if params.upsample and mode == "eval":
+        t = _upsampled_separable_conv(x, params)
+    else:
+        if params.upsample:
+            x = _upsample(x) if resized is None else resized
+        t = dropout(x, mode, rng)
+        t = conv2d(conv2d(t, *params.dw, pad=1, groups=x.shape[1]), *params.pw)
     return batch_norm(relu(t), *params.bn, mode)
 
 
 def frm_forward(x, params, mode, rng=None):
-    """The branch concatenated with its own (resized) input, the identity."""
+    """The branch concatenated with its own (upsampled) input, the identity;
+    a train-mode branch reads that one upsample."""
     _check_channels(x, params.pw, "frm_forward")
-    r = bilinear_resize(x, 2 * x.shape[2], 2 * x.shape[3]) if params.upsample else x
-    return concat([frm_branch(r, params, mode, rng), r], axis=1)
+    r = _upsample(x) if params.upsample else x
+    return concat([frm_branch(x, params, mode, rng, r), r], axis=1)

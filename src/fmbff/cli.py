@@ -160,6 +160,16 @@ def write_manifest(out_dir, command, seed, config, outputs, checkpoint=None):
 # commands
 
 
+def _make_out_dir(path):
+    """Create the ``--out`` directory once a command's inputs are read and
+    before its work starts, so a path that cannot be a directory (an
+    existing file, say) fails at once rather than after the whole run."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"--out {path}: cannot create directory: {exc.strerror}") from None
+
+
 def cmd_synth(args):
     samples = data.generate_synthetic(args.n, size=tuple(args.size), seed=args.seed)
     outputs = data.write_dataset(args.out, samples)
@@ -183,6 +193,7 @@ def cmd_train(args):
         train_set = expanded
 
     params = build_model(model_config)
+    _make_out_dir(args.out)
     epoch_start = time.perf_counter()
 
     def log_epoch(row):
@@ -197,7 +208,6 @@ def cmd_train(args):
     params, state, history = train_mod.train(params, train_set, val_set, train_config,
                                              log_fn=log_epoch)
 
-    os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "ckpt.fmbf")
     train_mod.save_checkpoint(ckpt_path, params, state)
     history_path = os.path.join(args.out, "history.csv")
@@ -218,17 +228,14 @@ def cmd_train(args):
 def cmd_eval(args):
     params, _state = train_mod.load_checkpoint(args.ckpt)
     samples = data.load_dataset(args.data)
+    folds = data.kfold([s.id for s in samples], k=args.folds) if args.folds else None
+    _make_out_dir(args.out)
     probs = predict_probs(params, [s.image for s in samples], batch_size=8)
     pred_by_id = {s.id: prob for s, prob in zip(samples, probs)}
     gt_by_id = {s.id: s.mask for s in samples}
-
-    folds = None
-    if args.folds:
-        folds = data.kfold(list(pred_by_id), k=args.folds)
     report = metrics.evaluate(
         pred_by_id, gt_by_id, folds=folds, include_precision=args.precision
     )
-    os.makedirs(args.out, exist_ok=True)
     text = metrics.to_text(report)
     with open(os.path.join(args.out, "report.txt"), "w") as fh:
         fh.write(text)
@@ -246,9 +253,10 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     params, _state = train_mod.load_checkpoint(args.ckpt)
-    (prob,) = predict_probs(params, [data.read_image(args.image)], batch_size=1)
+    image = data.read_image(args.image)
+    _make_out_dir(args.out)
+    (prob,) = predict_probs(params, [image], batch_size=1)
 
-    os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.image))[0]
     mask_path = os.path.join(args.out, f"{stem}_mask.pgm")
     prob_path = os.path.join(args.out, f"{stem}_prob.npy")

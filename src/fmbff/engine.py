@@ -614,6 +614,34 @@ def _linear_weights(n_in, n_out, dtype):
     return mat
 
 
+@functools.lru_cache(maxsize=64)
+def _tap_weights(n_in, n_out, dtype):
+    """The align-corners matrix shifted by each tap of a 3-tap, pad-1 conv
+    that runs after it, blocks side by side: shape (n_out, 3 * n_in).
+
+    Block i's row y is the resize's row y + i - 1, or zero where that row
+    falls in the padding, so ``wh @ stack([z0, z1, z2]) == sum_i R_i @ z_i``.
+    Cached and read-only like ``_linear_weights``.
+    """
+    padded = np.pad(_linear_weights(n_in, n_out, dtype), ((1, 1), (0, 0)))
+    mat = np.concatenate([padded[i : i + n_out] for i in range(3)], axis=1)
+    mat.flags.writeable = False
+    return mat
+
+
+def _resample(x, wh, ww):
+    """``wh @ x @ ww.T`` over the last two axes: a linear resample by a row
+    matrix and a column matrix, shared by ``bilinear_resize`` and FRM's
+    eval-mode tap lowering.  Private, so a traced run counts one op per
+    resize."""
+    out = np.matmul(np.matmul(wh, x.data), ww.T)
+
+    def back(g):
+        _accumulate(x, np.matmul(np.matmul(wh.T, g), ww))
+
+    return Tensor._from_op(out, (x,), back)
+
+
 def bilinear_resize(x, out_h, out_w):
     """Align-corners bilinear resampling; a same-size resize returns ``x``."""
     if out_h < 1 or out_w < 1:
@@ -621,14 +649,8 @@ def bilinear_resize(x, out_h, out_w):
     n, c, h, w = x.shape
     if (out_h, out_w) == (h, w):
         return x
-    wh = _linear_weights(h, out_h, x.data.dtype)
-    ww = _linear_weights(w, out_w, x.data.dtype)
-    out = np.matmul(np.matmul(wh, x.data), ww.T)
-
-    def back(g):
-        _accumulate(x, np.matmul(np.matmul(wh.T, g), ww))
-
-    return Tensor._from_op(out, (x,), back)
+    dtype = x.data.dtype
+    return _resample(x, _linear_weights(h, out_h, dtype), _linear_weights(w, out_w, dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,13 @@ the next block's dropout and depthwise conv, which do not commute with the
 resize, so they are built in full.  After the last block only 1x1 convs
 read them (``biffm.proj_a`` and the head), so there their share is computed
 at the block input's size and resized after.
+
+In eval mode every block's frm_up branch also runs at its input's size,
+through its kernel taps (see ``blocks``): its depthwise and pointwise convs
+and the resize are linear once dropout is the identity, so the last block
+never resizes its input at all, and dec1-3 resize theirs only for the
+identity channels.  In exact arithmetic the outputs are those of the
+upsample-first branch; in float32 they move by rounding (about 1e-7).
 """
 
 from __future__ import annotations
@@ -268,9 +275,10 @@ def _last_block_and_head(prev, skip, block, params, mode, rng):
     Only 1x1 convs read those channels: ``proj_a`` directly and the head
     through the block output.  Their share of both is computed at prev's
     size, and its width + 1 channels are resized in place of prev's.
+    The branch takes prev itself: it upsamples prev in train mode and runs
+    at prev's size in eval mode.
     """
-    branch = blocks.frm_branch(bilinear_resize(prev, 2 * prev.shape[2], 2 * prev.shape[3]),
-                               block.frm_up, mode, rng)
+    branch = blocks.frm_branch(prev, block.frm_up, mode, rng)
     nb = branch.shape[1]
     wa, ba = block.biffm.proj_a
     wh, width = params.head_w, wa.shape[0]

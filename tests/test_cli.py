@@ -326,6 +326,29 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_out_naming_a_file_exits_3_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        ds = tmp_path / "ds"
+        data.write_dataset(ds, data.generate_synthetic(3, size=(16, 16), seed=3))
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY_CONFIG)
+        out = ds / "manifest.txt"
+        ckpt = ["--ckpt", str(tiny_checkpoint(tmp_path))]
+        inputs = {"train": ["--data", str(ds), "--config", str(cfg)],
+                  "eval": ["--data", str(ds), *ckpt],
+                  "predict": ["--image", str(ds / "images" / "synth0000.ppm"), *ckpt]}
+
+        def work(*args, **kwargs):
+            raise AssertionError(f"{command} started its work before checking --out")
+
+        monkeypatch.setattr(train_mod, "train", work)
+        monkeypatch.setattr(cli, "predict_probs", work)
+        capsys.readouterr()
+        assert cli.main([command, *inputs[command], "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out}: cannot create directory: File exists\n", err
+
     @pytest.mark.parametrize("line,param", [
         ("model.input_size = 4611686018427387904x16", "vitm.pos_embed"),
         ("model.in_channels = 4611686018427387904", "enc1.conv1.w"),

@@ -1,10 +1,24 @@
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
-from fmbff import blocks
-from fmbff.engine import Tensor, backward, bilinear_resize, concat, conv2d, mul, sigmoid, sum_
+from fmbff import blocks, engine
+from fmbff.engine import (
+    ParamStore,
+    Tensor,
+    backward,
+    batch_norm,
+    bilinear_resize,
+    concat,
+    conv2d,
+    dropout,
+    mul,
+    relu,
+    sigmoid,
+    sum_,
+)
 from fmbff.errors import ConfigurationError, DimensionError
 from fmbff.model import (
     SKIP_MODES,
@@ -15,6 +29,8 @@ from fmbff.model import (
     predict_probs,
 )
 from fmbff.train import loss as train_loss
+
+model_mod = importlib.import_module("fmbff.model")
 
 
 def tiny_config(**kw):
@@ -181,56 +197,164 @@ class TestModelForward:
         assert trace.f_out.shape == (1, 1, 16, 16)
 
 
+def _raw_frm(x, params, mode, rng=None):
+    """FRM from raw engine ops, as the architecture states it: resize (when
+    it upsamples), dropout, depthwise conv, 1x1 conv, relu and batch norm,
+    concatenated with the resize."""
+    r = bilinear_resize(x, 2 * x.shape[2], 2 * x.shape[3]) if params.upsample else x
+    t = conv2d(dropout(r, mode, rng), *params.dw, pad=1, groups=x.shape[1])
+    t = batch_norm(relu(conv2d(t, *params.pw)), *params.bn, mode)
+    return concat([t, r], axis=1)
+
+
 def _reference_forward(f_in, params, mode, rng=None):
-    """The decoder as the architecture states it: every block's identity
-    concat is built at full size and read by proj_a and the head there, and
-    BiFFM resizes the skip before it projects it (``biffm_forward``'s own
-    resize of an already resized skip is the exact identity)."""
+    """The decoder as the architecture states it, from raw engine ops: every
+    block's identity concat is built at full size and read by proj_a and the
+    head there, every FRM branch runs on its upsampled map, and BiFFM
+    resizes the skip before it projects it (``biffm_forward``'s own resize of
+    an already resized skip is the exact identity)."""
     cfg = params.config
     stage_outputs, skips = encoder_forward(f_in, params, mode)
     prev = blocks.vitm_forward(stage_outputs[3], params.vitm)
     for i, block in enumerate(params.decoder):
-        u = blocks.frm_forward(prev, block.frm_up, mode, rng)
+        u = _raw_frm(prev, block.frm_up, mode, rng)
         skip = bilinear_resize(skips[cfg.skip_index(i)], u.shape[2], u.shape[3])
         fused = blocks.biffm_forward(u, skip, block.biffm)
-        prev = concat([blocks.frm_forward(fused, block.frm_fuse, mode, rng), u], axis=1)
+        prev = concat([_raw_frm(fused, block.frm_fuse, mode, rng), u], axis=1)
     return sigmoid(conv2d(prev, params.head_w, params.head_b))
+
+
+def _widen(store, rng, spread):
+    """Float64 parameters, each moved off its initial value by up to ``spread``."""
+    for _, t in store.items():
+        t.data = t.data.astype(np.float64) + rng.uniform(-spread, spread, t.shape)
+
+
+def _assert_float64_match(forwards, leaves, out_atol):
+    """Run each forward, then backward of its output weighted by a fixed
+    random map; the first must match the second in values (to ``out_atol``)
+    and in every leaf's gradient (to 1e-10 relative)."""
+    results = []
+    for forward in forwards:
+        for t in leaves.values():
+            t.grad = None
+        out = forward()
+        weight = np.random.default_rng(16).standard_normal(out.shape)
+        values = out.data.copy()
+        backward(sum_(mul(out, weight)))
+        results.append((values, {name: t.grad for name, t in leaves.items()}))
+
+    (got, got_grads), (want, want_grads) = results
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.abs(got - want).max() <= out_atol, np.abs(got - want).max()
+    # A conv bias ahead of a train-mode batch norm has an exact gradient of 0,
+    # so its rounding noise is measured against a floor: 1e-3 of the largest
+    # gradient.
+    floor = 1e-3 * max(np.abs(g).max() for g in want_grads.values())
+    for name, g in want_grads.items():
+        err = np.abs(got_grads[name] - g).max() / max(np.abs(g).max(), floor)
+        assert err <= 1e-10, (name, err)
+
+
+def _model_leaves(x, params):
+    return {"input": x, **dict(params.store.items())}
 
 
 @pytest.mark.parametrize("skip_mode", SKIP_MODES)
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_projections_before_upsampling_match_reference(mode, skip_mode):
     """model_forward runs the decoder's 1x1 projections at their inputs'
-    size and resizes after; in float64 that matches the reference's outputs
-    and every gradient to rounding."""
+    size and resizes after, and in eval mode its upsampling FRM branches
+    through their kernel taps; in float64 that matches the raw-op
+    reference's outputs and every gradient to rounding."""
     params = build_model(tiny_config(input_size=(32, 48), decoder_widths=(4, 2, 2, 2),
                                      skip_mode=skip_mode))
     rng = np.random.default_rng(31)
-    for _, t in params.store.items():
-        t.data = t.data.astype(np.float64) + rng.uniform(-0.05, 0.05, t.shape)
+    _widen(params.store, rng, 0.05)
     x = Tensor(rng.random((2, 3, 32, 48)), np.float64)
-    weight = rng.standard_normal((2, 1, 32, 48))
     model_forward(x, params, mode="train", rng=np.random.default_rng(0))  # BN statistics
+    _assert_float64_match(
+        [lambda: model_forward(x, params, mode, np.random.default_rng(5)).f_out,
+         lambda: _reference_forward(x, params, mode, np.random.default_rng(5))],
+        _model_leaves(x, params), out_atol=1e-12)
 
-    results = []
-    for forward in (lambda: model_forward(x, params, mode, np.random.default_rng(5)).f_out,
-                    lambda: _reference_forward(x, params, mode, np.random.default_rng(5))):
-        x.grad = None
-        for _, t in params.store.items():
-            t.grad = None
-        out = forward()
-        values = out.data.copy()
-        backward(sum_(mul(out, weight)))
-        results.append((values, {"input": x.grad, **{n: t.grad for n, t in params.store.items()}}))
 
-    (got, got_grads), (want, want_grads) = results
-    assert got.dtype == np.float64 and np.abs(got - want).max() <= 1e-12
-    # A conv bias ahead of a batch norm has an exact gradient of 0, so its
-    # rounding noise is measured against a floor: 1e-3 of the largest gradient.
-    floor = 1e-3 * max(np.abs(g).max() for g in want_grads.values())
-    for name, g in want_grads.items():
-        err = np.abs(got_grads[name] - g).max() / max(np.abs(g).max(), floor)
-        assert err <= 1e-10, (name, err)
+@pytest.mark.parametrize("extent", [(3, 5), (1, 1)])
+def test_eval_frm_taps_match_raw_ops(extent):
+    """An eval-mode upsampling FRM, run at its input's size through the
+    kernel taps, gives the raw-op branch's outputs and every gradient, the
+    input's included, in float64: on a non-square input and on 1x1 -> 2x2,
+    where every output pixel reads the one input pixel."""
+    store = ParamStore(17)
+    params = blocks.FrmParams.build(store, "t", 3, 5, upsample=True)
+    rng = np.random.default_rng(18)
+    _widen(store, rng, 0.1)
+    x = Tensor(rng.standard_normal((2, 3, *extent)), np.float64)
+    blocks.frm_forward(x, params, "train", np.random.default_rng(0))  # BN statistics
+    _assert_float64_match([lambda: blocks.frm_forward(x, params, "eval"),
+                           lambda: _raw_frm(x, params, "eval")],
+                          {"input": x, **dict(store.items())}, out_atol=1e-12)
+
+
+@pytest.mark.parametrize("skip_mode", SKIP_MODES)
+def test_eval_model_with_1x1_bottleneck_matches_raw_ops(skip_mode):
+    """At 16x16 the bottleneck is 1x1, so dec1's FRM upsamples 1x1 -> 2x2;
+    the eval-mode model still matches the raw-op reference in float64."""
+    params = build_model(tiny_config(decoder_widths=(4, 2, 2, 2), skip_mode=skip_mode))
+    rng = np.random.default_rng(32)
+    _widen(params.store, rng, 0.05)
+    x = Tensor(rng.random((2, 3, 16, 16)), np.float64)
+    model_forward(x, params, mode="train", rng=np.random.default_rng(0))  # BN statistics
+    _assert_float64_match([lambda: model_forward(x, params, "eval").f_out,
+                           lambda: _reference_forward(x, params, "eval")],
+                          _model_leaves(x, params), out_atol=1e-12)
+
+
+@pytest.mark.parametrize("mode,expected", [
+    ("train", {"dw_on_upsampled": 4, "last_prev_resized": 1}),
+    ("eval", {"dw_on_upsampled": 0, "last_prev_resized": 0}),
+])
+def test_eval_frm_branches_skip_the_upsampled_map(monkeypatch, mode, expected):
+    """Counted through wrapped ops: in eval mode no depthwise conv runs on an
+    upsampled map and the last block never resizes its input ``prev``; in
+    train mode dropout's mask needs both, once per decoder block."""
+    counts = dict.fromkeys(expected, 0)
+    upsampled, last_prev = [], []  # kept alive, so their ids stay unique
+
+    def resize(x, out_h, out_w):
+        out = engine.bilinear_resize(x, out_h, out_w)
+        counts["last_prev_resized"] += any(x is p for p in last_prev)
+        if out_h > x.shape[2] or out_w > x.shape[3]:
+            upsampled.append(out)
+        return out
+
+    def drop(x, mode, rng=None):
+        out = engine.dropout(x, mode, rng)
+        if any(x is u for u in upsampled):
+            upsampled.append(out)
+        return out
+
+    def conv(x, w, b=None, stride=1, pad=0, groups=1):
+        counts["dw_on_upsampled"] += groups > 1 and any(x is u for u in upsampled)
+        return engine.conv2d(x, w, b, stride, pad, groups)
+
+    last_block = model_mod._last_block_and_head
+
+    def last(prev, *args):
+        last_prev.append(prev)
+        return last_block(prev, *args)
+
+    params = build_model(tiny_config())
+    x = Tensor(np.random.default_rng(33).random((2, 3, 16, 16)).astype(np.float32))
+    model_forward(x, params, "train", np.random.default_rng(0))  # BN statistics
+    for module in (blocks, model_mod):
+        monkeypatch.setattr(module, "bilinear_resize", resize)
+    monkeypatch.setattr(blocks, "dropout", drop)
+    monkeypatch.setattr(blocks, "conv2d", conv)
+    monkeypatch.setattr(model_mod, "_last_block_and_head", last)
+    out = model_forward(x, params, mode, np.random.default_rng(0)).f_out
+    assert out.shape == (2, 1, 16, 16) and len(last_prev) == 1
+    assert counts == expected
 
 
 class TestPredictProbs:
