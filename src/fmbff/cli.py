@@ -9,6 +9,7 @@ snapshot, and a content hash of any checkpoint involved.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -170,6 +171,21 @@ def _make_out_dir(path):
         raise OSError(f"--out {path}: cannot create directory: {exc.strerror}") from None
 
 
+@contextlib.contextmanager
+def _out_dir_removed_on_failure(path):
+    """On any exception, Ctrl-C included, remove the ``--out`` directory if
+    the command created it and left it empty; one that existed before, or
+    that holds files, is kept."""
+    created = path is not None and not os.path.lexists(path)
+    try:
+        yield
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):  # rmdir removes only an empty directory
+                os.rmdir(path)
+        raise
+
+
 def cmd_synth(args):
     samples = data.generate_synthetic(args.n, size=tuple(args.size), seed=args.seed)
     outputs = data.write_dataset(args.out, samples)
@@ -182,15 +198,7 @@ def cmd_synth(args):
 def cmd_train(args):
     model_config, train_config = load_config(args.config)
     samples = data.load_dataset(args.data)
-    train_ids, val_ids = data.split([s.id for s in samples], seed=train_config.seed)
-    by_id = {s.id: s for s in samples}
-    train_set = [by_id[i] for i in train_ids]
-    val_set = [by_id[i] for i in val_ids]
-    if train_config.augment:
-        expanded = []
-        for s in train_set:
-            expanded.extend(data.expand_augmentations(s))
-        train_set = expanded
+    train_set, val_set = data.split(samples, seed=train_config.seed)
 
     params = build_model(model_config)
     _make_out_dir(args.out)
@@ -340,9 +348,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "size"):
-            args.size = _parse_int_tuple(args.size, "--size")
-        return args.fn(args)
+        with _out_dir_removed_on_failure(getattr(args, "out", None)):
+            if hasattr(args, "size"):
+                args.size = _parse_int_tuple(args.size, "--size")
+            return args.fn(args)
     except (ConfigurationError, DimensionError, StateError, UsageError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

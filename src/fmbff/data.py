@@ -212,14 +212,18 @@ def expand_augmentations(sample: Sample):
 # splits
 
 
-def split(ids, seed=0):
-    """Shuffle ``ids`` and cut them into (train ids, validation ids)."""
-    ids = list(ids)
-    if not ids:
-        raise ConfigurationError("split over an empty id list")
+def split(items, seed=0):
+    """Shuffle ``items`` and cut them into (train, validation) lists.
+
+    The items may be anything, ids or whole samples: the shuffle depends
+    only on their count and ``seed``, so samples split exactly as their ids
+    do."""
+    items = list(items)
+    if not items:
+        raise ConfigurationError("split over an empty list")
     rng = np.random.default_rng(seed)
-    order = [ids[i] for i in rng.permutation(len(ids))]
-    cut = int(round(len(ids) * TRAIN_FRACTION))
+    order = [items[i] for i in rng.permutation(len(items))]
+    cut = int(round(len(items) * TRAIN_FRACTION))
     return order[:cut], order[cut:]
 
 

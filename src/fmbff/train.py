@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics as metrics_mod
+from . import data, metrics as metrics_mod
 from .engine import Tensor, add, backward, clip, log, mean_, mul, pow_, sub, sum_
 from .errors import (
     ConfigurationError,
@@ -200,10 +200,16 @@ def train(params: ModelParams, train_set, val_set, cfg: TrainConfig,
     History rows carry epoch, mean train loss, the lr in effect during the
     epoch, and validation Dice.  ``stop_at_metric`` allows regression tests
     to end a run once a target validation Dice is reached.
+
+    With ``cfg.augment`` set, each training sample is first replaced by its
+    36 ``data.expand_augmentations`` variants, all built before the first
+    step.
     """
     if not train_set or not val_set:
         raise UsageError("train and validation sets must be nonempty")
     cfg.validate()
+    if cfg.augment:
+        train_set = [v for s in train_set for v in data.expand_augmentations(s)]
     state = TrainState(lr=cfg.lr0, rng=np.random.default_rng(cfg.seed))
 
     images = [np.asarray(s.image, dtype=np.float32) for s in train_set]
@@ -404,14 +410,25 @@ def _read_exact(blob, offset, count, path):
 class _Entries(dict):
     """Checkpoint entries by name.  Looking up a missing entry, or reading one
     whose shape or value does not fit (``shaped``, ``finite``, ``whole``,
-    ``count``), is a format error."""
+    ``count``), is a format error.  Every lookup is recorded, so that
+    ``check_all_read`` can reject an entry the reader never used."""
 
     def __init__(self, path):
         super().__init__()
         self.path = path
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
 
     def __missing__(self, name):
         raise FormatError(f"{self.path}: missing checkpoint entry {name!r}")
+
+    def check_all_read(self):
+        for name in self:
+            if name not in self.read:
+                raise FormatError(f"{self.path}: unexpected checkpoint entry {name!r}")
 
     def bad(self, name, problem):
         return FormatError(f"{self.path}: checkpoint entry {name!r} {problem}")
@@ -535,4 +552,5 @@ def load_checkpoint(path):
             if key in entries:
                 state.adam_m[name] = entries.finite(key, t.shape, -math.inf)
                 state.adam_v[name] = entries.finite(f"adam/v/{name}", t.shape, 0.0)
+    entries.check_all_read()
     return params, state

@@ -11,7 +11,7 @@ import pytest
 
 from fmbff import cli, data, gradcheck
 from fmbff.engine import Tensor, _accumulate, mul
-from fmbff.errors import ConfigurationError
+from fmbff.errors import ConfigurationError, TrainingDiverged
 from fmbff.model import ModelConfig, build_model, predict_probs
 from fmbff.train import TrainConfig
 
@@ -348,6 +348,33 @@ class TestTrain:
         assert cli.main([command, *inputs[command], "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err == f"error: --out {out}: cannot create directory: File exists\n", err
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["new_out", "existing_out"])
+    @pytest.mark.parametrize("error", [TrainingDiverged, KeyboardInterrupt])
+    def test_failed_run_removes_only_the_empty_out_it_made(self, tmp_path, capsys, monkeypatch,
+                                                           error, existed):
+        ds = tmp_path / "ds"
+        data.write_dataset(ds, data.generate_synthetic(3, size=(16, 16), seed=3))
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY_CONFIG)
+        run = tmp_path / "run"
+        if existed:
+            run.mkdir()
+
+        def fail(*args, **kwargs):
+            assert run.is_dir()
+            raise error("loss became nan at epoch 1, step 1")
+
+        monkeypatch.setattr(train_mod, "train", fail)
+        argv = ["train", "--data", str(ds), "--config", str(cfg), "--out", str(run)]
+        capsys.readouterr()
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == 4
+            assert capsys.readouterr().err == "error: loss became nan at epoch 1, step 1\n"
+        assert run.is_dir() == existed
 
     @pytest.mark.parametrize("line,param", [
         ("model.input_size = 4611686018427387904x16", "vitm.pos_embed"),

@@ -1,8 +1,8 @@
 """Guard against dead surface: every module-level function of the package,
 public or private, and every method and property is used somewhere in the
-package itself, not only by tests; every dataclass field is read somewhere
-in the package; every defaulted parameter is passed by some call in the
-package, bar a named set; the declared dependencies are exactly the
+package itself, not only by tests; every dataclass field is read in the
+module that defines it; every defaulted parameter is passed by some call in
+the package, bar a named set; the declared dependencies are exactly the
 third-party modules the package imports."""
 
 import ast
@@ -105,33 +105,37 @@ def test_scan_flags_a_function_nothing_calls(tmp_path):
 
 
 def unread_dataclass_fields(package_dir):
-    """Fields of the dataclasses in ``package_dir`` that no source there reads.
+    """Fields of the dataclasses in ``package_dir`` that the module defining
+    them never reads.
 
-    A field counts as read when an attribute of its name is loaded anywhere
-    (``params.heads``), whatever object it is loaded from.  That is a blind
-    spot: a field nothing reads still passes when another class has a field
-    of the same name that is read.
+    A field counts as read when an attribute of its name is loaded in its
+    own module (``cfg.augment`` in ``train.py``), whatever object it is
+    loaded from.  A read elsewhere does not count: a switch that only one
+    caller honours is one the defining module's functions ignore.  That is
+    a blind spot too: a field nothing reads still passes when another class
+    in its module has a field of the same name that is read.
     """
     def is_dataclass(decorator):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
         return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
 
-    trees = [ast.parse(path.read_text()) for path in Path(package_dir).glob("*.py")]
-    fields = {
-        (node.name, stmt.target.id)
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
-        for stmt in node.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-    }
-    read = {
-        node.attr
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
-    return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+    unread = []
+    for path in Path(package_dir).glob("*.py"):
+        tree = ast.parse(path.read_text())
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [
+            f"{node.name}.{stmt.target.id}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read
+        ]
+    return sorted(unread)
 
 
 def test_every_dataclass_field_is_read_in_the_package():
@@ -143,17 +147,20 @@ def test_scan_flags_a_field_nothing_reads(tmp_path):
         "import dataclasses\n"
         "from dataclasses import dataclass\n\n"
         "@dataclass\n"
-        "class Layer:\n    weight: int\n    dead: int = 0\n\n"
+        "class Layer:\n    weight: int\n    dead: int = 0\n    remote: int = 0\n\n"
         "@dataclasses.dataclass(eq=False)\n"
         "class Trace:\n    out: int\n    written: int\n\n"
-        "class Plain:\n    ignored: int\n"
-    )
-    (tmp_path / "user.py").write_text(
-        "def use(layer, trace):\n"
+        "class Plain:\n    ignored: int\n\n"
+        "def run(layer, trace):\n"
         "    trace.written = layer.weight\n"
         "    return trace.out\n"
     )
-    assert unread_dataclass_fields(tmp_path) == ["Layer.dead", "Trace.written"]
+    (tmp_path / "user.py").write_text(
+        "def use(layer):\n"
+        "    return layer.remote + layer.dead\n"
+    )
+    # Layer.remote is read only in user.py, so records.py ignores it
+    assert unread_dataclass_fields(tmp_path) == ["Layer.dead", "Layer.remote", "Trace.written"]
 
 
 # Defaulted parameters that only callers outside the package set, by setter.

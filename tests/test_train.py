@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fmbff
 tr = importlib.import_module("fmbff.train")
 from fmbff import cli
-from fmbff.data import generate_synthetic, write_image
+from fmbff.data import expand_augmentations, generate_synthetic, write_image
 from fmbff.engine import ParamStore, Tensor, backward
 from fmbff.errors import FormatError, ParseError, UsageError
 from fmbff.gradcheck import finite_diff_check
@@ -240,6 +241,22 @@ class TestTrainLoop:
         for name, t in p1.store.items():
             np.testing.assert_array_equal(t.data, p2.store[name].data)
 
+    def test_augment_config_trains_on_every_variant(self):
+        # 2 samples x 36 variants in batches of 4: 18 Adam steps, the same
+        # run as one on the expanded list with augmentation off
+        samples = generate_synthetic(3, size=(16, 16), seed=7)
+        cfg = tr.TrainConfig(augment=True, max_epochs=1, batch_size=4)
+        params, state, history = fmbff.train_model(build_model(tiny_config()), samples[:2],
+                                                   samples[2:], cfg)
+        assert state.adam_t == 18
+        expanded = [v for s in samples[:2] for v in expand_augmentations(s)]
+        cfg.augment = False
+        again, _, again_history = fmbff.train_model(build_model(tiny_config()), expanded,
+                                                    samples[2:], cfg)
+        assert tr.history_csv(history) == tr.history_csv(again_history)
+        for name, t in params.store.items():
+            np.testing.assert_array_equal(t.data, again.store[name].data)
+
     def test_best_metric_recomputable(self):
         samples = generate_synthetic(8, size=(16, 16), seed=7)
         params = build_model(tiny_config())
@@ -423,6 +440,14 @@ MALFORMED_ENTRIES = [
     ("adam/m/head.w", np.zeros((2,), dtype=np.float32)),
 ]
 
+# An entry the reader never reads, beside well-formed ones: (entry added,
+# entry removed, the entry left unread).
+UNREAD_ENTRIES = [
+    ("param/bogus", None, "param/bogus"),
+    (None, "state/lr", "state/epoch"),  # training state without its lr
+    (None, "adam/m/head.w", "adam/v/head.w"),  # a second moment without its first
+]
+
 # One value of a well-shaped entry replaced by one the model cannot use.
 BAD_VALUES = [
     ("param/head.w", np.nan),
@@ -569,6 +594,19 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"checkpoint entry '{name}'"):
             tr.load_checkpoint(path)
         assert name in _predict_error(tmp_path, capsys, path)
+
+    @pytest.mark.parametrize("added,removed,unread", UNREAD_ENTRIES,
+                             ids=["stray_param", "state_without_lr", "adam_v_without_m"])
+    def test_unread_entry_exits_3(self, tmp_path, capsys, added, removed, unread):
+        _, _, path = self._trained(tmp_path)
+        entries = tr.read_checkpoint_entries(path)
+        if added:
+            entries[added] = np.zeros(1, dtype=np.float32)
+        if removed:
+            del entries[removed]
+        tr.write_checkpoint_entries(path, entries)
+        err = _predict_error(tmp_path, capsys, path)
+        assert f"unexpected checkpoint entry '{unread}'" in err, err
 
     @pytest.mark.parametrize("name,value", BAD_VALUES,
                              ids=[f"{name}={value}" for name, value in BAD_VALUES])
