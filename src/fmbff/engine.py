@@ -55,11 +55,12 @@ NORM_EPS = 1e-5  # variance offset of both normalizations
 # Working set of one chunk of the depthwise conv's blocked loop: small enough
 # to stay in a core's L2 cache while the loop makes several passes.
 _CACHE_BYTES = 256 * 1024
-# Elements per ufunc buffer inside the depthwise conv.  NumPy runs a ufunc
-# whose operands do not flatten to one loop (a row-strided slice times one
-# weight per row) through buffers of this size; at the default 8192 the
-# buffers outgrow L1, and on rows shorter than that (planes of 16x16 and
-# below at batch 8) the multiply ran 2-3x slower.
+# Elements per ufunc buffer inside the depthwise conv and eval-mode batch
+# norm.  NumPy runs a ufunc whose operands do not flatten to one loop (a
+# row-strided slice times one weight per row, a map times a (1, C, 1, 1)
+# broadcast) through buffers of this size; at the default 8192 the buffers
+# outgrow L1, and on rows shorter than that (planes of 16x16 and below at
+# batch 8) the depthwise multiply ran 2-3x slower.
 _UFUNC_BUFSIZE = 1024
 
 
@@ -124,7 +125,7 @@ class Tensor:
         out.data = data
         out.grad = None
         if _recording:
-            out._parents = tuple(p for p in parents if isinstance(p, Tensor))
+            out._parents = [p for p in parents if isinstance(p, Tensor)]
             out._backward = backward
         else:
             out._parents = ()
@@ -178,6 +179,8 @@ def _accumulate(t, g):
 
 def _unbroadcast(g, shape):
     """Sum a broadcasted gradient back down to the operand's shape."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for axis, (gs, ss) in enumerate(zip(g.shape, shape)):
@@ -545,31 +548,55 @@ def _conv_gemm(x, w, sh, sw, ph, pw, ho, wo):
 # pooling
 
 
+# The four stride-2 views of a 2x2 pool's input, one per window element in
+# row-major order.
+_WINDOW_VIEWS = tuple(np.s_[:, :, i::2, j::2] for i in range(2) for j in range(2))
+
+
 def max_pool2x2(x):
-    """2x2 stride-2 max pool; odd extents are right/bottom padded with -inf-like."""
+    """2x2 stride-2 max pool; odd extents are right/bottom padded with -inf.
+
+    The forward walks the four stride-2 views of the map in the order (0,0),
+    (0,1), (1,0), (1,1) and keeps each window's first maximum, as ``argmax``
+    does: a later element replaces the running one only where it is greater,
+    or is NaN where the running one is not.  A replacement copies the
+    element's bits, ``out ^= (v ^ out) * take`` on the unsigned integers of
+    the same width, so the value keeps its sign of zero and its NaN payload
+    (``np.maximum`` may return either of two equal operands), and no element
+    takes a branch (a masked copy on an unpredictable mask ran 4x slower).
+    The three bool masks of replacements route the backward: the window's
+    last replacement, or its first element if none, receives ``g``.
+    """
     n, c, h, w = x.shape
     if h == 0 or w == 0:
         raise DimensionError("max_pool2x2 on empty spatial extent")
-    ph, pw = h % 2, w % 2
-    fill = np.finfo(x.data.dtype).min
     xp = x.data
-    if ph or pw:
-        xp = np.pad(xp, ((0, 0), (0, 0), (0, ph), (0, pw)), constant_values=fill)
+    if h % 2 or w % 2:
+        xp = np.pad(xp, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)), constant_values=-np.inf)
     hp, wp = xp.shape[2], xp.shape[3]
-    ho, wo = hp // 2, wp // 2
-    windows = xp.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5)
-    windows = windows.reshape(n, c, ho, wo, 4)
-    idx = windows.argmax(axis=-1)  # first index wins ties (row-major in window)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    bits = np.dtype(f"u{xp.itemsize}")
+    out = xp[_WINDOW_VIEWS[0]].copy()
+    out_bits = out.view(bits)
+    takes = []
+    for view in _WINDOW_VIEWS[1:]:
+        take = np.less_equal(xp[view], out)  # false where greater or either is NaN
+        np.logical_not(take, out=take)
+        take &= out == out  # a NaN already chosen stays
+        diff = xp.view(bits)[view] ^ out_bits
+        diff *= take
+        out_bits ^= diff
+        takes.append(take)
 
     def back(g):
-        gwin = np.zeros((n, c, ho, wo, 4), dtype=g.dtype)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gp = gwin.reshape(n, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        gp = gp.reshape(n, c, hp, wp)
+        t1, t2, t3 = takes
+        later = t2 | t3
+        chosen = (~(t1 | later), t1 & ~later, t2 & ~t3, t3)
+        gp = np.zeros((n, c, hp, wp), dtype=g.dtype)
+        for view, mask in zip(_WINDOW_VIEWS, chosen):
+            np.multiply(g.view(bits), mask, out=gp.view(bits)[view])  # g's bits or +0
         _accumulate(x, gp[:, :, :h, :w])
 
-    return Tensor._from_op(np.ascontiguousarray(out), (x,), back)
+    return Tensor._from_op(out, (x,), back)
 
 
 def global_max_pool(x):
@@ -692,6 +719,32 @@ def _standardize(x, axes, eps):
     return mul(xc, pow_(add(var, float(eps)), -0.5)), mu, var
 
 
+def _eval_batch_norm(x, scale, shift, state):
+    """Eval-mode batch norm as one op: ``(x - rm) * rs * scale + shift`` per
+    channel, from the running statistics.
+
+    It makes the passes of the composite ``add(mul(mul(sub(x, rm), rs), s), b)``
+    in the same order and types, so outputs and gradients keep their bytes,
+    and it runs them under ``_small_ufunc_buffers``, since every operand but
+    ``x`` is a (1, C, 1, 1) broadcast.
+    """
+    rm = state.running_mean.astype(x.data.dtype).reshape(1, -1, 1, 1)
+    rs = (1.0 / np.sqrt(state.running_var + NORM_EPS)).astype(x.data.dtype).reshape(1, -1, 1, 1)
+    s, b = scale.data.reshape(rm.shape), shift.data.reshape(rm.shape)
+    with _small_ufunc_buffers():
+        y = x.data - rm
+        y *= rs
+        out = y * s
+        out += b
+
+    def back(g):
+        _accumulate(shift, _unbroadcast(g, s.shape).reshape(shift.shape))
+        _accumulate(scale, _unbroadcast(g * y, s.shape).reshape(scale.shape))
+        _accumulate(x, (g * s) * rs)
+
+    return Tensor._from_op(out, (x, scale, shift), back)
+
+
 def layer_norm(x, scale, shift):
     """Normalize over C,H,W per sample, then apply the channel affine."""
     y, _, _ = _standardize(x, (1, 2, 3), NORM_EPS)
@@ -706,9 +759,7 @@ def batch_norm(x, scale, shift, state, mode):
     elif mode == "eval":
         if state.count == 0:
             raise StateError("eval-mode batch norm before any training batch")
-        rm = state.running_mean.astype(x.data.dtype).reshape(1, -1, 1, 1)
-        rs = (1.0 / np.sqrt(state.running_var + NORM_EPS)).astype(x.data.dtype)
-        y = mul(sub(x, rm), rs.reshape(1, -1, 1, 1))
+        return _eval_batch_norm(x, scale, shift, state)
     else:
         raise ConfigurationError(f"unknown mode {mode!r}")
     return _affine(y, scale, shift)

@@ -268,6 +268,15 @@ class TestPooling:
         grad = x.grad[0, 0]
         assert grad[0, 0] == 1.0 and grad.sum() == 1.0
 
+    def test_max2x2_odd_edge_of_neg_inf(self):
+        # the odd column's pad must not beat a real -inf: it pools to -inf
+        # and takes the gradient
+        x = Tensor(np.asarray([1.0, 2.0, -np.inf], dtype=np.float32).reshape(1, 1, 1, 3))
+        out = max_pool2x2(x)
+        np.testing.assert_array_equal(out.data.ravel(), [2.0, -np.inf])
+        backward(sum_(mul(out, Tensor(np.asarray([3.0, 5.0], dtype=np.float32).reshape(1, 1, 1, 2)))))
+        np.testing.assert_array_equal(x.grad.ravel(), [0.0, 3.0, 5.0])
+
 
 class TestBilinearResize:
     def test_constant(self):
@@ -324,9 +333,10 @@ def _loop_resize(x, out_h, out_w):
 
 
 def _loop_max(x, g, windows):
-    """Max over each window of an N x C plane and its gradient: the window's
-    first maximum in row-major order receives ``g``."""
-    out, dx = np.zeros(g.shape), np.zeros(x.shape)
+    """Max over each window of an N x C plane and its gradient, in ``x``'s
+    type: the window's first maximum in row-major order (a NaN, if any) is
+    the value and receives ``g``."""
+    out, dx = np.zeros(g.shape, x.dtype), np.zeros(x.shape, x.dtype)
     for (i, j), (rows, cols) in windows:
         for a, b in itertools.product(range(x.shape[0]), range(x.shape[1])):
             win = x[a, b, rows, cols]
@@ -379,6 +389,35 @@ def test_resize_and_pool_sweep_against_loops():
         backward(sum_(mul(out, g)))
         want, dx = _loop_max(data, g, [((0, 0), (slice(0, h), slice(0, w)))])
         assert np.array_equal(got, want) and np.array_equal(x.grad, dx), where
+
+
+POOL_BYTES_SEED = 20271
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_pool_bytes_on_ties_zeros_nan_inf(dtype):
+    """Seeded byte-level cases of ``max_pool2x2`` against ``_loop_max``, at
+    odd and even extents: values drawn from a few, so windows tie, hold
+    both signs of zero (as relu emits), NaN and -inf.  Values and gradients
+    are compared as bytes, which see a zero's sign and a NaN's payload."""
+    rng = np.random.default_rng(POOL_BYTES_SEED)
+    nan = np.frombuffer(np.asarray([0x7FC00001], np.uint32).tobytes(), np.float32)[0]
+    choices = np.asarray([-0.0, 0.0, -1.0, 1.0, 2.0, np.nan, -nan, -np.inf], dtype=dtype)
+    for case in range(60):
+        where = f"seed {POOL_BYTES_SEED} case {case}"
+        n, c, h, w = (int(v) for v in rng.integers(1, [3, 3, 8, 8]))
+        data = choices[rng.choice(len(choices), (n, c, h, w), p=[.3, .3, .1, .1, .05, .05, .05, .05])]
+        ho, wo = (h + 1) // 2, (w + 1) // 2
+        windows = [((i, j), (slice(2 * i, min(2 * i + 2, h)), slice(2 * j, min(2 * j + 2, w))))
+                   for i in range(ho) for j in range(wo)]
+        g = rng.standard_normal((n, c, ho, wo)).astype(dtype)
+        x = Tensor(data, dtype)
+        out = max_pool2x2(x)
+        got = out.data.copy()  # backward() releases it
+        backward(sum_(mul(out, g)))
+        want, dx = _loop_max(data, g, windows)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), where
+        assert x.grad.dtype == dx.dtype and x.grad.tobytes() == dx.tobytes(), where
 
 
 # Input layouts of the conv sweep: (shape of the base array for a given
@@ -495,6 +534,47 @@ class TestNormalize:
             state, "train",
         )
         assert np.abs(out.data.mean(axis=(0, 2, 3))).max() < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, axes", [
+        ((2, 3, 4, 5), None),
+        ((3, 1, 2, 6), None),  # C = 1
+        ((1, 2, 1, 1), None),  # the map is as small as the broadcasts
+        ((2, 5, 4, 3), (0, 3, 1, 2)),  # a permuted, non-contiguous input
+    ])
+    def test_eval_batch_norm_equals_composite(self, dtype, shape, axes):
+        """Eval-mode batch norm is one graph node whose output and gradients
+        equal, byte for byte, the composite of public ops it replaces; it
+        leaves the ufunc buffer size as it found it."""
+        rng = np.random.default_rng(27)
+        base = rng.standard_normal(shape).astype(dtype)
+        data = base if axes is None else base.transpose(axes)
+        c = data.shape[1]
+        state = BatchNormState(c)
+        state.update(rng.standard_normal(c), rng.random(c) + 0.5)
+        params = rng.standard_normal((2, c)).astype(dtype)
+        g = rng.standard_normal(data.shape).astype(dtype)
+
+        def run(norm):
+            x, scale, shift = Tensor(data, dtype), Tensor(params[0], dtype), Tensor(params[1], dtype)
+            out = norm(x, scale, shift)
+            got = out.data.copy()  # backward() releases it
+            backward(sum_(mul(out, g)))
+            return out, [got, x.grad, scale.grad, shift.grad]
+
+        def composite(x, scale, shift):
+            rm = state.running_mean.astype(dtype).reshape(1, -1, 1, 1)
+            rs = (1.0 / np.sqrt(state.running_var + NORM_EPS)).astype(dtype).reshape(1, -1, 1, 1)
+            y = mul(sub(x, rm), rs)
+            return add(mul(y, reshape(scale, (1, -1, 1, 1))), reshape(shift, (1, -1, 1, 1)))
+
+        bufsize = np.getbufsize()
+        out, got = run(lambda x, scale, shift: batch_norm(x, scale, shift, state, "eval"))
+        assert np.getbufsize() == bufsize
+        assert all(p.is_leaf() for p in out._parents) and len(out._parents) == 3
+        _, want = run(composite)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_eval_without_stats(self):
         x = Tensor(np.zeros((1, 2, 2, 2), dtype=np.float32))
