@@ -576,13 +576,13 @@ def max_pool2x2(x):
     hp, wp = xp.shape[2], xp.shape[3]
     bits = np.dtype(f"u{xp.itemsize}")
     out = xp[_WINDOW_VIEWS[0]].copy()
-    out_bits = out.view(bits)
+    xp_bits, out_bits = xp.view(bits), out.view(bits)
     takes = []
     for view in _WINDOW_VIEWS[1:]:
         take = np.less_equal(xp[view], out)  # false where greater or either is NaN
         np.logical_not(take, out=take)
         take &= out == out  # a NaN already chosen stays
-        diff = xp.view(bits)[view] ^ out_bits
+        diff = xp_bits[view] ^ out_bits
         diff *= take
         out_bits ^= diff
         takes.append(take)
