@@ -275,14 +275,14 @@ def _read_netpbm(path, magic_expected):
             raise ParseError(f"{path}: {name} {value} must be at least 1", offset=header.start(k))
     if maxval != 255:
         raise ParseError(f"{path}: unsupported maxval {maxval}", offset=header.end())
-    pos = header.end() + 1  # single whitespace byte after maxval
+    pos = min(header.end() + 1, len(blob))  # single whitespace byte after maxval
     channels = _CHANNELS[magic_expected]
     expected = width * height * channels
-    payload = blob[pos : pos + expected]
-    if len(payload) != expected:
+    payload = blob[pos:]
+    if len(payload) != expected:  # the offset of its end, or of its first stray byte
         raise ParseError(
             f"{path}: payload has {len(payload)} bytes, expected {expected}",
-            offset=pos + len(payload),
+            offset=pos + min(len(payload), expected),
         )
     data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     return data

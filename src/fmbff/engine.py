@@ -55,12 +55,12 @@ NORM_EPS = 1e-5  # variance offset of both normalizations
 # Working set of one chunk of the depthwise conv's blocked loop: small enough
 # to stay in a core's L2 cache while the loop makes several passes.
 _CACHE_BYTES = 256 * 1024
-# Elements per ufunc buffer inside the depthwise conv and eval-mode batch
-# norm.  NumPy runs a ufunc whose operands do not flatten to one loop (a
-# row-strided slice times one weight per row, a map times a (1, C, 1, 1)
-# broadcast) through buffers of this size; at the default 8192 the buffers
-# outgrow L1, and on rows shorter than that (planes of 16x16 and below at
-# batch 8) the depthwise multiply ran 2-3x slower.
+# Elements per ufunc buffer inside the depthwise conv, every norm's channel
+# affine and eval-mode batch norm's standardization.  NumPy runs a ufunc whose
+# operands do not flatten to one loop (a row-strided slice times one weight per
+# row, a map times a (1, C, 1, 1) broadcast) through buffers of this size; at
+# the default 8192 the buffers outgrow L1, and on rows shorter than that
+# (planes of 16x16 and below at batch 8) the depthwise multiply ran 2-3x slower.
 _UFUNC_BUFSIZE = 1024
 
 
@@ -375,6 +375,10 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
         raise DimensionError(f"conv2d weight must be 4-D, got shape {w.shape}")
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
+    if sh < 1 or sw < 1:
+        raise ConfigurationError(f"stride={stride} must be at least 1")
+    if ph < 0 or pw < 0:
+        raise ConfigurationError(f"pad={pad} must not be negative")
     n, cin, h, wd = x.shape
     cout, cg, kh, kw = w.shape
     if groups != 1 and not groups == cin == cout:
@@ -706,9 +710,20 @@ class BatchNormState:
 
 
 def _affine(y, scale, shift):
-    s = reshape(scale, (1, -1, 1, 1))
-    b = reshape(shift, (1, -1, 1, 1))
-    return add(mul(y, s), b)
+    """``y * scale + shift`` per channel as one op, the affine that ends every
+    norm; its passes and gradients are ``add(mul(y, s), b)``'s, bit for bit."""
+    yd = y.data
+    s, b = scale.data.reshape(1, -1, 1, 1), shift.data.reshape(1, -1, 1, 1)
+    with _small_ufunc_buffers():
+        out = yd * s
+        out += b
+
+    def back(g):
+        _accumulate(shift, _unbroadcast(g, s.shape).reshape(shift.shape))
+        _accumulate(scale, _unbroadcast(g * yd, s.shape).reshape(scale.shape))
+        _accumulate(y, g * s)
+
+    return Tensor._from_op(out, (y, scale, shift), back)
 
 
 def _standardize(x, axes, eps):
@@ -719,30 +734,14 @@ def _standardize(x, axes, eps):
     return mul(xc, pow_(add(var, float(eps)), -0.5)), mu, var
 
 
-def _eval_batch_norm(x, scale, shift, state):
-    """Eval-mode batch norm as one op: ``(x - rm) * rs * scale + shift`` per
-    channel, from the running statistics.
-
-    It makes the passes of the composite ``add(mul(mul(sub(x, rm), rs), s), b)``
-    in the same order and types, so outputs and gradients keep their bytes,
-    and it runs them under ``_small_ufunc_buffers``, since every operand but
-    ``x`` is a (1, C, 1, 1) broadcast.
-    """
+def _running_standardize(x, state):
+    """``(x - running mean) / sqrt(running var + eps)`` per channel, as one op."""
     rm = state.running_mean.astype(x.data.dtype).reshape(1, -1, 1, 1)
     rs = (1.0 / np.sqrt(state.running_var + NORM_EPS)).astype(x.data.dtype).reshape(1, -1, 1, 1)
-    s, b = scale.data.reshape(rm.shape), shift.data.reshape(rm.shape)
     with _small_ufunc_buffers():
         y = x.data - rm
         y *= rs
-        out = y * s
-        out += b
-
-    def back(g):
-        _accumulate(shift, _unbroadcast(g, s.shape).reshape(shift.shape))
-        _accumulate(scale, _unbroadcast(g * y, s.shape).reshape(scale.shape))
-        _accumulate(x, (g * s) * rs)
-
-    return Tensor._from_op(out, (x, scale, shift), back)
+    return Tensor._from_op(y, (x,), lambda g: _accumulate(x, g * rs))
 
 
 def layer_norm(x, scale, shift):
@@ -759,7 +758,7 @@ def batch_norm(x, scale, shift, state, mode):
     elif mode == "eval":
         if state.count == 0:
             raise StateError("eval-mode batch norm before any training batch")
-        return _eval_batch_norm(x, scale, shift, state)
+        y = _running_standardize(x, state)
     else:
         raise ConfigurationError(f"unknown mode {mode!r}")
     return _affine(y, scale, shift)
@@ -935,8 +934,8 @@ def channel_slice(x, start, stop):
 def channel_shuffle(x, groups):
     """Permute channels: index i moves to (i mod g) * (C/g) + i // g."""
     c = x.shape[1]
-    if c % groups != 0:
-        raise ConfigurationError(f"groups={groups} does not divide {c} channels")
+    if groups < 1 or c % groups != 0:
+        raise ConfigurationError(f"groups={groups} is not a positive divisor of {c} channels")
     dest = (np.arange(c) % groups) * (c // groups) + np.arange(c) // groups
     src = np.argsort(dest)
     data = x.data[:, src]

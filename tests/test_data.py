@@ -186,6 +186,22 @@ class TestNetpbmIO:
         with pytest.raises(ParseError):
             data.read_image(path)
 
+    @pytest.mark.parametrize("blob, offset", [
+        (b"P6\n2 1\n255", 10),  # no byte after maxval: the offset is the file's end
+        (b"P5\n2 1\n255\n\x01\x02\x03", 13),
+        (b"P5\n2 1\n255\n\x01\x02\n", 13),
+        (b"P6\r\n1 1\r\n255\r\n\x01\x02\x03", 16),  # CRLF: '\n' would be the first sample
+    ], ids=["ends-at-maxval", "extra-byte", "extra-newline", "crlf-header"])
+    def test_payload_size_mismatch_offset(self, tmp_path, blob, offset):
+        """A short payload is reported at the file's end, a long one at its
+        first stray byte; neither offset lies past the end of the file."""
+        path = tmp_path / "bad.pnm"
+        path.write_bytes(blob)
+        read = data.read_mask if blob.startswith(b"P5") else data.read_image
+        with pytest.raises(ParseError, match="payload has") as exc:
+            read(path)
+        assert exc.value.offset == offset <= len(blob)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x00")

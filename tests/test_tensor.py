@@ -10,6 +10,7 @@ from fmbff.engine import (
     _accumulate,
     _erf,
     _linear_weights,
+    _standardize,
     NORM_EPS,
     BatchNormState,
     ParamStore,
@@ -99,6 +100,18 @@ class TestConv2d:
                             xp[0, :, i : i + 3, j : j + 3] * w[co]
                         ).sum() + b[co]
             np.testing.assert_allclose(out, ref, atol=1e-6, rtol=1e-5)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"stride": 0}, "stride=0"),
+        ({"stride": (1, 0)}, r"stride=\(1, 0\)"),
+        ({"pad": -1}, "pad=-1"),
+        ({"pad": (0, -1)}, r"pad=\(0, -1\)"),
+    ])
+    def test_stride_and_pad_rejected(self, kwargs, name):
+        x = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
+        w = Tensor(np.zeros((2, 2, 3, 3), dtype=np.float32))
+        with pytest.raises(ConfigurationError, match=name):
+            conv2d(x, w, **kwargs)
 
     def test_group_errors(self):
         x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
@@ -543,38 +556,62 @@ class TestNormalize:
         ((2, 5, 4, 3), (0, 3, 1, 2)),  # a permuted, non-contiguous input
     ])
     def test_eval_batch_norm_equals_composite(self, dtype, shape, axes):
-        """Eval-mode batch norm is one graph node whose output and gradients
-        equal, byte for byte, the composite of public ops it replaces; it
-        leaves the ufunc buffer size as it found it."""
+        """Eval-mode and train-mode batch norm and layer norm each end in one
+        channel-affine node over (standardized input, scale, shift), and eval
+        mode standardizes in one node over x.  Each norm's output, gradients
+        and running statistics equal, byte for byte, a composite of public
+        ops, and the ufunc buffer size is left as it was found."""
         rng = np.random.default_rng(27)
         base = rng.standard_normal(shape).astype(dtype)
         data = base if axes is None else base.transpose(axes)
         c = data.shape[1]
-        state = BatchNormState(c)
-        state.update(rng.standard_normal(c), rng.random(c) + 0.5)
+        stats = rng.standard_normal(c), rng.random(c) + 0.5
         params = rng.standard_normal((2, c)).astype(dtype)
         g = rng.standard_normal(data.shape).astype(dtype)
 
         def run(norm):
             x, scale, shift = Tensor(data, dtype), Tensor(params[0], dtype), Tensor(params[1], dtype)
-            out = norm(x, scale, shift)
+            state = BatchNormState(c)  # each side starts from the same statistics
+            state.update(*stats)
+            out = norm(x, scale, shift, state)
             got = out.data.copy()  # backward() releases it
             backward(sum_(mul(out, g)))
-            return out, [got, x.grad, scale.grad, shift.grad]
+            arrays = [got, x.grad, scale.grad, shift.grad, state.running_mean, state.running_var]
+            return (out, x, scale, shift), arrays
 
-        def composite(x, scale, shift):
-            rm = state.running_mean.astype(dtype).reshape(1, -1, 1, 1)
-            rs = (1.0 / np.sqrt(state.running_var + NORM_EPS)).astype(dtype).reshape(1, -1, 1, 1)
-            y = mul(sub(x, rm), rs)
+        def affine(y, scale, shift):
             return add(mul(y, reshape(scale, (1, -1, 1, 1))), reshape(shift, (1, -1, 1, 1)))
 
+        def eval_composite(x, scale, shift, state):
+            rm = state.running_mean.astype(dtype).reshape(1, -1, 1, 1)
+            rs = (1.0 / np.sqrt(state.running_var + NORM_EPS)).astype(dtype).reshape(1, -1, 1, 1)
+            return affine(mul(sub(x, rm), rs), scale, shift)
+
+        def train_composite(x, scale, shift, state):
+            y, mu, var = _standardize(x, (0, 2, 3), NORM_EPS)
+            state.update(mu.data.reshape(-1), var.data.reshape(-1))
+            return affine(y, scale, shift)
+
+        def layer_composite(x, scale, shift, state):
+            return affine(_standardize(x, (1, 2, 3), NORM_EPS)[0], scale, shift)
+
+        cases = [
+            ("eval", lambda x, s, b, st: batch_norm(x, s, b, st, "eval"), eval_composite),
+            ("train", lambda x, s, b, st: batch_norm(x, s, b, st, "train"), train_composite),
+            ("layer", lambda x, s, b, st: layer_norm(x, s, b), layer_composite),
+        ]
         bufsize = np.getbufsize()
-        out, got = run(lambda x, scale, shift: batch_norm(x, scale, shift, state, "eval"))
-        assert np.getbufsize() == bufsize
-        assert all(p.is_leaf() for p in out._parents) and len(out._parents) == 3
-        _, want = run(composite)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for name, norm, composite in cases:
+            (out, x, scale, shift), got = run(norm)
+            assert np.getbufsize() == bufsize, name
+            y, out_scale, out_shift = out._parents
+            assert out_scale is scale and out_shift is shift and not y.is_leaf(), name
+            if name == "eval":
+                assert len(y._parents) == 1 and y._parents[0] is x
+            _, want = run(composite)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
 
     def test_eval_without_stats(self):
         x = Tensor(np.zeros((1, 2, 2, 2), dtype=np.float32))
@@ -734,6 +771,12 @@ class TestRearrange:
     def test_channel_shuffle_involution_g2_c4(self):
         x = Tensor(np.random.default_rng(7).random((1, 4, 2, 2)).astype(np.float32))
         np.testing.assert_array_equal(channel_shuffle(channel_shuffle(x, 2), 2).data, x.data)
+
+    @pytest.mark.parametrize("groups", [0, -1, -4])
+    def test_channel_shuffle_rejects_nonpositive_groups(self, groups):
+        x = Tensor(np.arange(4, dtype=np.float32).reshape(1, 4, 1, 1))
+        with pytest.raises(ConfigurationError, match=f"groups={groups} "):
+            channel_shuffle(x, groups)
 
     def test_channel_shuffle_bijection(self):
         x = Tensor(np.random.default_rng(8).random((1, 12, 2, 2)).astype(np.float32))
