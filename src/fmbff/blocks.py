@@ -37,7 +37,10 @@ reads the upsampled map at a shifted row and column, which is the shifted
 rows of the resize applied to x, and because the depthwise bias is added
 after the zero padding, so it reaches every output pixel unchanged.  Train
 mode cannot use it: dropout's per-pixel mask at the output size sits
-between the resize and the depthwise conv.
+between the resize and the depthwise conv.  There the resize, dropout and
+depthwise conv run as one engine op, ``dropout_depthwise``, which builds
+its input chunk by chunk of channels and keeps only x and the mask's raw
+bits for its backward.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .engine import (
     channel_shuffle,
     concat,
     conv2d,
-    dropout,
+    dropout_depthwise,
     gelu,
     global_max_pool,
     layer_norm,
@@ -372,18 +375,23 @@ def frm_branch(x, params, mode, rng=None, resized=None):
     1/2 on the (upsampled) input, depthwise-separable conv, relu and batch
     norm.  ``resized`` is x's upsample when the caller has already built it.
 
-    In eval mode dropout is the identity, so an upsampling branch runs at
-    x's size (``_upsampled_separable_conv``) and never builds the upsampled
-    map.  Train mode cannot: dropout's per-pixel mask at the output size
-    sits between the resize and the depthwise conv.
+    In train mode the resize, dropout and depthwise conv are one engine op,
+    ``dropout_depthwise``, which never holds the upsampled or dropped map.
+    It takes ``resized`` as it is when given: that map is shared with the
+    identity channels, and a resize inside the op would map each reader's
+    gradient back on its own, ``R^T g1 + R^T g2`` in place of
+    ``R^T (g1 + g2)``, which differ in float32 bits.  Otherwise the op
+    upsamples x itself.  In eval mode dropout is the identity, so an
+    upsampling branch runs at x's size (``_upsampled_separable_conv``) and
+    never builds the upsampled map.
     """
-    if params.upsample and mode == "eval":
+    if mode == "train":
+        src, up = (x, params.upsample) if resized is None else (resized, False)
+        t = conv2d(dropout_depthwise(src, *params.dw, rng, up), *params.pw)
+    elif params.upsample:
         t = _upsampled_separable_conv(x, params)
     else:
-        if params.upsample:
-            x = _upsample(x) if resized is None else resized
-        t = dropout(x, mode, rng)
-        t = conv2d(conv2d(t, *params.dw, pad=1, groups=x.shape[1]), *params.pw)
+        t = conv2d(conv2d(x, *params.dw, pad=1, groups=x.shape[1]), *params.pw)
     return batch_norm(relu(t), *params.bn, mode)
 
 

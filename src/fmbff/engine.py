@@ -2,14 +2,16 @@
 
 Layout convention for image-like data is N x C x H x W.  Every operation
 returns a fresh Tensor whose backward closure scatters gradients into its
-inputs, bar an identity (a same-size resize, dropout in eval mode), which
-returns its input; ``backward(loss)`` runs the whole reverse sweep and frees
-each interior gradient once its closure has consumed it, so only leaves hold
-``.grad`` afterwards and a step's memory is bounded by what the rest of the
-sweep still needs.  Closures keep compact state (bool masks rather than
-float ones) for the same reason, and a gradient that a closure computes
-afresh becomes its input's ``.grad`` without a copy; only a view of the
-gradient being propagated (a pass-through, a slice, a broadcast) is copied.
+inputs, bar an identity (a same-size resize), which returns its input;
+``backward(loss)`` runs the whole reverse sweep and frees each interior
+gradient once its closure has consumed it, so only leaves hold ``.grad``
+afterwards and a step's memory is bounded by what the rest of the sweep
+still needs.  Closures keep compact state (bool masks rather than float
+ones, and ``dropout_depthwise`` the generator's raw words, one bit per
+element, rebuilding its dropped map from its input in the backward) for the
+same reason, and a gradient that a closure computes afresh becomes its
+input's ``.grad`` without a copy; only a view of the gradient being
+propagated (a pass-through, a slice, a broadcast) is copied.
 
 Forward values live only as long as a closure reads them.  A closure
 captures exactly the arrays it reads, and that capture is the only record
@@ -399,9 +401,24 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
             f"spatial output extent would be {ho}x{wo} for input {h}x{wd}"
         )
 
-    # Each lowering returns its output and a function g -> (dx, dw).
-    lowering = _conv_gemm if groups == 1 else _conv_depthwise
-    out, grads = lowering(x.data, w.data, sh, sw, ph, pw, ho, wo)
+    # Each lowering gives its output and a function g -> (dx, dw).
+    xd = x.data
+    if groups == 1:
+        out, grads = _conv_gemm(xd, w.data, sh, sw, ph, pw, ho, wo)
+    else:
+        def load(lo, k, dst):
+            dst[...] = xd[:, lo : lo + k].transpose(1, 0, 2, 3)
+
+        out, chunked = _conv_depthwise(xd.shape, xd.dtype, w.data, sh, sw, ph, pw, ho, wo, load)
+
+        def grads(g):
+            dx = np.empty(xd.shape, dtype=xd.dtype)
+
+            def unload(lo, k, src):
+                dx[:, lo : lo + k] = src.transpose(1, 0, 2, 3)
+
+            return dx, chunked(g, load, unload)
+
     if b is not None:
         out += b.data[None, :, None, None]
 
@@ -428,8 +445,9 @@ class _small_ufunc_buffers:
         np.setbufsize(self._outer)
 
 
-def _conv_depthwise(x, w, sh, sw, ph, pw, ho, wo):
-    """Depthwise conv as per-channel multiply-adds of shifted slices.
+def _conv_depthwise(shape, dtype, w, sh, sw, ph, pw, ho, wo, load):
+    """Depthwise conv as per-channel multiply-adds of shifted slices, over
+    an input that is only ever read one chunk of channels at a time.
 
     Channel ``c``'s N padded planes lie end to end in one row of a flat
     buffer, ``(C, N*Hp*Wp + tail)``.  On that row's stride-1 grid, tap
@@ -439,59 +457,66 @@ def _conv_depthwise(x, w, sh, sw, ph, pw, ho, wo):
     ``w[c, t] * dgrid`` into the same slices, and ``dw[c, t]`` the dot product
     of ``dgrid[c]`` with slice ``t``.  Channels go in chunks of about
     ``_CACHE_BYTES``, padded afresh in each pass, so a chunk's rows stay in
-    cache across the taps and no padded copy of ``x`` outlives the call.
+    cache across the taps and no padded copy of the input outlives the call.
+
+    ``shape`` and ``dtype`` describe the input; ``load(lo, k, dst)`` writes
+    its channels ``lo:lo+k`` into ``dst``, a (k, N, H, W) view of the
+    chunk's padded rows.  Returns the output and ``grads(g, load, unload)``,
+    which reloads each chunk through ``load``, hands that chunk's input
+    gradient to ``unload(lo, k, src)`` as a (k, N, H, W) view that the next
+    chunk overwrites, and returns dw.  A caller can thus build the input
+    chunk by chunk in both passes and keep only what it is built from.
     """
-    n, c, h, wd = x.shape
+    n, c, h, wd = shape
     kh, kw = w.shape[2:]
     hp, wp = h + 2 * ph, wd + 2 * pw
     span = n * hp * wp
     shifts = [i * wp + j for i in range(kh) for j in range(kw)]
-    taps = w.reshape(c, kh * kw)
-    m = max(1, min(c, _CACHE_BYTES // (span * x.itemsize)))
+    cols = w.reshape(c, kh * kw).T[:, :, None]  # cols[t][lo:lo+k] is tap t's (k, 1) weights
+    m = max(1, min(c, _CACHE_BYTES // (span * dtype.itemsize)))
     chunks = [(lo, min(m, c - lo)) for lo in range(0, c, m)]
+    interior = np.s_[:, :, ph : ph + h, pw : pw + wd]
+    picked = np.s_[:, :, : ho * sh : sh, : wo * sw : sw]
 
     def planes(a, k):  # the first k rows of a chunk buffer as (k, N, Hp, Wp)
         return a[:k, :span].reshape(k, n, hp, wp)
 
-    def load(pad, lo, k):
-        planes(pad, k)[:, :, ph : ph + h, pw : pw + wd] = x[:, lo : lo + k].transpose(1, 0, 2, 3)
-
-    picked = np.s_[:, :, : ho * sh : sh, : wo * sw : sw]
-    pad = np.zeros((m, span + shifts[-1]), dtype=x.dtype)
-    grid = np.empty((m, span), dtype=x.dtype)
+    pad = np.zeros((m, span + shifts[-1]), dtype=dtype)
+    grid = np.empty((m, span), dtype=dtype)
     tmp = np.empty_like(grid)
-    out = np.empty((n, c, ho, wo), dtype=x.dtype)
+    out = np.empty((n, c, ho, wo), dtype=dtype)
     with _small_ufunc_buffers():
         for lo, k in chunks:
-            load(pad, lo, k)
-            np.multiply(pad[:k, :span], taps[lo : lo + k, :1], out=grid[:k])
+            load(lo, k, planes(pad, k)[interior])
+            rows, acc, prod = pad[:k], grid[:k], tmp[:k]
+            np.multiply(rows[:, :span], cols[0][lo : lo + k], out=acc)
             for t in range(1, kh * kw):
                 s = shifts[t]
-                np.multiply(pad[:k, s : s + span], taps[lo : lo + k, t : t + 1], out=tmp[:k])
-                grid[:k] += tmp[:k]
+                np.multiply(rows[:, s : s + span], cols[t][lo : lo + k], out=prod)
+                acc += prod
             out[:, lo : lo + k] = planes(grid, k)[picked].transpose(1, 0, 2, 3)
 
-    def grads(g):
-        dx = np.empty(x.shape, dtype=x.dtype)
+    def grads(g, load, unload):
         dw = np.empty((c, kh * kw), dtype=w.dtype)
-        pad = np.zeros((m, span + shifts[-1]), dtype=x.dtype)
-        dgrid = np.zeros((m, span), dtype=x.dtype)  # zero off the output pixels
+        pad = np.zeros((m, span + shifts[-1]), dtype=dtype)
+        dgrid = np.zeros((m, span), dtype=dtype)  # zero off the output pixels
         dpad = np.empty_like(pad)
         tmp = np.empty_like(dgrid)
         with _small_ufunc_buffers():
             for lo, k in chunks:
-                load(pad, lo, k)
+                load(lo, k, planes(pad, k)[interior])
                 planes(dgrid, k)[picked] = g[:, lo : lo + k].transpose(1, 0, 2, 3)
-                dg = dgrid[:k]
-                np.multiply(dg, taps[lo : lo + k, :1], out=dpad[:k, :span])
-                dpad[:k, span:] = 0
+                rows, dg, drows, prod = pad[:k], dgrid[:k], dpad[:k], tmp[:k]
+                dg_row = dg[:, None]
+                np.multiply(dg, cols[0][lo : lo + k], out=drows[:, :span])
+                drows[:, span:] = 0
                 for t, s in enumerate(shifts):
                     if t:
-                        np.multiply(dg, taps[lo : lo + k, t : t + 1], out=tmp[:k])
-                        dpad[:k, s : s + span] += tmp[:k]
-                    dw[lo : lo + k, t] = np.matmul(dg[:, None], pad[:k, s : s + span, None])[:, 0, 0]
-                dx[:, lo : lo + k] = planes(dpad, k)[:, :, ph : ph + h, pw : pw + wd].transpose(1, 0, 2, 3)
-        return dx, dw.reshape(w.shape)
+                        np.multiply(dg, cols[t][lo : lo + k], out=prod)
+                        drows[:, s : s + span] += prod
+                    dw[lo : lo + k, t] = np.matmul(dg_row, rows[:, s : s + span, None])[:, 0, 0]
+                unload(lo, k, planes(dpad, k)[interior])
+        return dw.reshape(w.shape)
 
     return out, grads
 
@@ -546,6 +571,85 @@ def _conv_gemm(x, w, sh, sw, ph, pw, ho, wo):
         return dx, dw.reshape(w.shape)
 
     return out, grads
+
+
+def dropout_depthwise(x, w, b, rng, upsample):
+    """FRM's train-mode front end as one op: the 2x align-corners upsample
+    of ``x`` when ``upsample`` is set, inverted dropout at rate 1/2, then the
+    3x3, pad-1 depthwise conv with weight ``w`` (C x 1 x 3 x 3) and bias
+    ``b``.
+
+    Element e of the flat dropout input is kept, and doubled, when bit e mod
+    64 of raw word e div 64 of ``rng``'s bit generator is set: one fair bit
+    per element.  The words are read little-endian, so the mask does not
+    depend on the host's byte order, and a call advances the generator by
+    exactly ceil(n / 64) words, so a copy advanced by e div 64 words yields
+    element e's bit.
+
+    It runs inside ``_conv_depthwise``'s channel loop, whose loader fills
+    each chunk with ``(R_h @ x @ R_w^T) * mask * 2`` (``R`` the resize
+    matrices of ``bilinear_resize``; just ``x * mask * 2`` without the
+    upsample).  The backward rebuilds each chunk from ``x`` and maps the
+    chunk's gradient back through the mask and ``R_h^T @ . @ R_w``, so no
+    resized map, dropped map or bool mask outlives a pass: the closure keeps
+    ``x``, ``w``, ``b`` and the raw words, one bit per element.  Outputs and
+    gradients are, bit for bit, those of the resize, the mask and
+    ``conv2d(..., pad=1, groups=C)`` run one after another.
+    """
+    if rng is None:
+        raise UsageError("dropout_depthwise requires an rng")
+    if x.ndim != 4:
+        raise DimensionError(f"dropout_depthwise input must be 4-D, got shape {x.shape}")
+    n, c, h, wd = x.shape
+    if w.shape != (c, 1, 3, 3) or b.shape != (c,):
+        raise DimensionError(
+            f"weight {w.shape} and bias {b.shape} must be ({c}, 1, 3, 3) and ({c},)"
+        )
+    xd = x.data
+    dtype = xd.dtype
+    if upsample:
+        rh, rw = _linear_weights(h, 2 * h, dtype), _linear_weights(wd, 2 * wd, dtype)
+        h, wd = 2 * h, 2 * wd
+    shape = (n, c, h, wd)
+    size = n * c * h * wd
+    words = rng.bit_generator.random_raw(-(-size // 64)).astype("<u8", copy=False)
+    two = dtype.type(2)
+
+    def mask():  # unpacked once per pass, so only a pass holds it
+        bits = np.unpackbits(words.view(np.uint8), count=size, bitorder="little")
+        return bits.view(bool).reshape(shape)
+
+    def loader(keep):
+        def load(lo, k, dst):
+            t = xd[:, lo : lo + k]
+            if upsample:
+                t = np.matmul(np.matmul(rh, t), rw.T)
+            t = t * keep[:, lo : lo + k]  # contiguous, so cheaper than a product into dst
+            t *= two
+            dst[...] = t.transpose(1, 0, 2, 3)
+
+        return load
+
+    out, grads = _conv_depthwise(shape, dtype, w.data, 1, 1, 1, 1, h, wd, loader(mask()))
+    out += b.data[None, :, None, None]
+
+    def back(g):
+        _accumulate(b, g.sum(axis=(0, 2, 3)))
+        keep = mask()
+        dx = np.empty(xd.shape, dtype=dtype)
+
+        def unload(lo, k, src):
+            d = np.empty((n, k, h, wd), dtype=dtype) if upsample else dx[:, lo : lo + k]
+            d[...] = src.transpose(1, 0, 2, 3)
+            d *= keep[:, lo : lo + k]
+            d *= two
+            if upsample:
+                dx[:, lo : lo + k] = np.matmul(np.matmul(rh.T, d), rw)
+
+        _accumulate(w, grads(g, loader(keep), unload))
+        _accumulate(x, dx)
+
+    return Tensor._from_op(out, (x, w, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -944,30 +1048,6 @@ def channel_shuffle(x, groups):
         _accumulate(x, g[:, dest])
 
     return Tensor._from_op(np.ascontiguousarray(data), (x,), back)
-
-
-def dropout(x, mode, rng=None):
-    """Inverted dropout at rate 1/2, deterministic under a fixed rng; eval mode returns ``x``.
-
-    Element e of the flat array is kept, and doubled, when bit e mod 64 of raw
-    word e div 64 of ``rng``'s bit generator is set: one fair bit per element.
-    The words are read little-endian, so the mask does not depend on the
-    host's byte order, and a call advances the generator by exactly
-    ceil(n / 64) words, so a copy advanced by e div 64 words yields element
-    e's bit.  The closure holds the bool mask, one byte per element.
-    """
-    if mode == "eval":
-        return x
-    if mode != "train":
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise UsageError("train-mode dropout requires an rng")
-    n = x.data.size
-    words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8", copy=False)
-    keep = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
-    keep = keep.view(bool).reshape(x.shape)
-    two = x.data.dtype.type(2)
-    return Tensor._from_op(x.data * keep * two, (x,), lambda g: _accumulate(x, g * keep * two))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ mixes channels and an align-corners bilinear resize mixes pixels with rows
 that sum to 1, so in exact arithmetic ``conv1x1(resize(x)) ==
 resize(conv1x1(x))``, bias included.  In dec1-3 the identity channels feed
 the next block's dropout and depthwise conv, which do not commute with the
-resize, so they are built in full.  After the last block only 1x1 convs
-read them (``biffm.proj_a`` and the head), so there their share is computed
-at the block input's size and resized after.
+resize, so they are built in full, and the train-mode branch
+(``engine.dropout_depthwise``) reads that same resized map.  After the last
+block only 1x1 convs read them (``biffm.proj_a`` and the head), so there
+their share is computed at the block input's size and resized after, and
+the train-mode branch upsamples the block input inside its op, one chunk of
+channels at a time, so the upsampled map never exists in full.
 
 In eval mode every block's frm_up branch also runs at its input's size,
 through its kernel taps (see ``blocks``): its depthwise and pointwise convs

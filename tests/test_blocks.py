@@ -10,13 +10,13 @@ from fmbff.engine import (
     bilinear_resize,
     concat,
     conv2d,
-    dropout,
     mul,
     relu,
     sum_,
 )
 from fmbff.errors import ConfigurationError, DimensionError
 from fmbff.model import ModelConfig
+from raw_bits import dropped
 
 
 def build_fmcab(channels=4, seed=0, **kw):
@@ -222,7 +222,7 @@ def _frm_reference(x, params, mode, rng=None):
     h, w = x.shape[2:]
     if params.upsample:
         h, w = 2 * h, 2 * w
-    t = dropout(bilinear_resize(x, h, w), mode, rng)
+    t = dropped(bilinear_resize(x, h, w), mode, rng)
     t = conv2d(conv2d(t, *params.dw, pad=1, groups=x.shape[1]), *params.pw)
     t = batch_norm(relu(t), *params.bn, mode)
     return concat([t, bilinear_resize(x, h, w)], axis=1)

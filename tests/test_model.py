@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from fmbff.engine import (
     bilinear_resize,
     concat,
     conv2d,
-    dropout,
     mul,
     relu,
     sigmoid,
@@ -29,6 +29,7 @@ from fmbff.model import (
     predict_probs,
 )
 from fmbff.train import loss as train_loss
+from raw_bits import dropped
 
 model_mod = importlib.import_module("fmbff.model")
 
@@ -119,6 +120,21 @@ class TestModelForward:
         b = model_forward(x, params, mode="eval").f_out.data
         np.testing.assert_array_equal(a, b)
 
+    def test_train_forward_holds_at_most_20_mib(self):
+        """A default-width 32x32, batch-4 train forward holds at most 20 MiB
+        of graph: FRM's resized, dropped and mask maps are never kept
+        (25.5 MiB while they were, 17.5 MiB without them)."""
+        params = build_model(ModelConfig(input_size=(32, 32)))
+        x = Tensor(np.random.default_rng(7).random((4, 3, 32, 32)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = model_forward(x, params, mode="train", rng=np.random.default_rng(0)).f_out
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (4, 1, 32, 32)
+        assert held <= 20 * 2**20, f"the forward holds {held / 2**20:.1f} MiB"
+
     def test_wrong_spatial_size(self):
         params = build_model(tiny_config())
         with pytest.raises(DimensionError):
@@ -202,7 +218,7 @@ def _raw_frm(x, params, mode, rng=None):
     it upsamples), dropout, depthwise conv, 1x1 conv, relu and batch norm,
     concatenated with the resize."""
     r = bilinear_resize(x, 2 * x.shape[2], 2 * x.shape[3]) if params.upsample else x
-    t = conv2d(dropout(r, mode, rng), *params.dw, pad=1, groups=x.shape[1])
+    t = conv2d(dropped(r, mode, rng), *params.dw, pad=1, groups=x.shape[1])
     t = batch_norm(relu(conv2d(t, *params.pw)), *params.bn, mode)
     return concat([t, r], axis=1)
 
@@ -317,7 +333,8 @@ def test_eval_model_with_1x1_bottleneck_matches_raw_ops(skip_mode):
 def test_eval_frm_branches_skip_the_upsampled_map(monkeypatch, mode, expected):
     """Counted through wrapped ops: in eval mode no depthwise conv runs on an
     upsampled map and the last block never resizes its input ``prev``; in
-    train mode dropout's mask needs both, once per decoder block."""
+    train mode dropout's mask needs both, once per decoder block, and
+    ``dropout_depthwise`` upsamples the last block's ``prev`` itself."""
     counts = dict.fromkeys(expected, 0)
     upsampled, last_prev = [], []  # kept alive, so their ids stay unique
 
@@ -328,11 +345,10 @@ def test_eval_frm_branches_skip_the_upsampled_map(monkeypatch, mode, expected):
             upsampled.append(out)
         return out
 
-    def drop(x, mode, rng=None):
-        out = engine.dropout(x, mode, rng)
-        if any(x is u for u in upsampled):
-            upsampled.append(out)
-        return out
+    def drop_dw(x, w, b, rng, upsample):
+        counts["dw_on_upsampled"] += upsample or any(x is u for u in upsampled)
+        counts["last_prev_resized"] += upsample and any(x is p for p in last_prev)
+        return engine.dropout_depthwise(x, w, b, rng, upsample)
 
     def conv(x, w, b=None, stride=1, pad=0, groups=1):
         counts["dw_on_upsampled"] += groups > 1 and any(x is u for u in upsampled)
@@ -349,7 +365,7 @@ def test_eval_frm_branches_skip_the_upsampled_map(monkeypatch, mode, expected):
     model_forward(x, params, "train", np.random.default_rng(0))  # BN statistics
     for module in (blocks, model_mod):
         monkeypatch.setattr(module, "bilinear_resize", resize)
-    monkeypatch.setattr(blocks, "dropout", drop)
+    monkeypatch.setattr(blocks, "dropout_depthwise", drop_dw)
     monkeypatch.setattr(blocks, "conv2d", conv)
     monkeypatch.setattr(model_mod, "_last_block_and_head", last)
     out = model_forward(x, params, mode, np.random.default_rng(0)).f_out

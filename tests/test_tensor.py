@@ -24,7 +24,7 @@ from fmbff.engine import (
     clip,
     concat,
     conv2d,
-    dropout,
+    dropout_depthwise,
     gelu,
     global_max_pool,
     layer_norm,
@@ -51,6 +51,7 @@ from fmbff.errors import (
 )
 from fmbff import blocks, gradcheck
 from fmbff.gradcheck import _gradient_errors, finite_diff_check
+from raw_bits import dropped, raw_bit_mask
 
 
 def gap(x):
@@ -812,15 +813,55 @@ class TestRearrange:
         np.testing.assert_array_equal(x.grad, np.ones_like(x.data))
 
 
+def _centre_tap(c):
+    """A float32 depthwise weight and bias under which the conv passes its
+    input through: 1 at each channel's centre tap, 0 elsewhere."""
+    w = np.zeros((c, 1, 3, 3))
+    w[:, :, 1, 1] = 1
+    return Tensor(w), Tensor(np.zeros(c))
+
+
+def _closure_arrays(fn):
+    """Every array that ``fn``'s closure reaches through its cells, nested
+    functions, lists and tuples included."""
+    found, stack, seen = [], [fn], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a free variable that was never bound
+                    pass
+    return found
+
+
 class TestDropout:
+    """``dropout_depthwise``: FRM's train-mode upsample, dropout at rate 1/2
+    and depthwise conv as one op."""
+
     def test_eval_identity(self):
+        """Dropout is the identity in eval mode: an eval-mode FRM branch is
+        the depthwise-separable conv of its input, with no mask and no rng."""
+        store = ParamStore(10)
+        params = blocks.FrmParams.build(store, "t", 2, 3, upsample=False)
         x = Tensor(np.random.default_rng(10).random((1, 2, 3, 3)).astype(np.float32))
-        assert dropout(x, "eval") is x
+        blocks.frm_branch(x, params, "train", np.random.default_rng(0))  # BN statistics
+        out = blocks.frm_branch(x, params, "eval")
+        t = conv2d(conv2d(x, *params.dw, pad=1, groups=2), *params.pw)
+        assert out.data.tobytes() == batch_norm(relu(t), *params.bn, "eval").data.tobytes()
 
     def test_scaling_contract(self):
         x = Tensor(np.full((1, 1, 10, 10), 3.0, dtype=np.float32))
-        out = dropout(x, "train", np.random.default_rng(0)).data
-        assert set(np.unique(out).tolist()) <= {0.0, 6.0}
+        out = dropout_depthwise(x, *_centre_tap(1), np.random.default_rng(0), False).data
+        assert set(np.unique(out).tolist()) == {0.0, 6.0}
 
     def test_mask_is_raw_bits_and_seekable(self):
         """Element e is kept, and doubled, when bit e % 64 of raw word e // 64
@@ -843,21 +884,88 @@ class TestDropout:
         mask = np.array([(int(raw[e // 64]) >> (e % 64)) & 1 for e in range(n)], dtype=bool)
         mask = mask.reshape(shape)
         x = Tensor(data)
-        out = dropout(x, "train", drawn)
+        out = dropout_depthwise(x, *_centre_tap(5), drawn, False)
         assert out.data.dtype == np.float32
-        assert out.data.tobytes() == (data * mask * np.float32(2)).tobytes()
+        np.testing.assert_array_equal(out.data, data * mask * np.float32(2))
         assert drawn.bit_generator.state == ref.state
         backward(sum_(mul(out, w)))
-        assert x.grad.tobytes() == (w * mask * np.float32(2)).tobytes()
+        np.testing.assert_array_equal(x.grad, w * mask * np.float32(2))
         for e in (0, 63, 64, n - 1):
             seek = np.random.default_rng(9).bit_generator
             seek.advance(e // 64)
             bit = (int(seek.random_raw()) >> (e % 64)) & 1
             assert bit == mask.reshape(-1)[e], e
 
+    @pytest.mark.parametrize("shape,dtype", [
+        ((3, 5, 7, 7), np.float32),  # planes off word starts, a partial last word
+        ((3, 5, 7, 7), np.float64),
+        ((2, 8, 32, 32), np.float32),
+        ((2, 8, 32, 32), np.float64),
+        ((2, 8, 64, 64), np.float64),  # three channel chunks without the upsample
+    ])
+    @pytest.mark.parametrize("upsample", [False, True])
+    def test_matches_composite_bytes(self, shape, dtype, upsample):
+        """The op's output and its x, w and b gradients are, byte for byte,
+        those of the resize, a mask from ``random_raw`` words and the
+        depthwise ``conv2d`` run one after another; the generator ends
+        ceil(n / 64) words on."""
+        rng = np.random.default_rng(60)
+        n, c, h, w = shape
+        x = Tensor(rng.standard_normal(shape), dtype)
+        wd = Tensor(rng.standard_normal((c, 1, 3, 3)) * 0.3, dtype)
+        b = Tensor(rng.standard_normal(c), dtype)
+        hw = (2 * h, 2 * w) if upsample else (h, w)
+        size = n * c * hw[0] * hw[1]
+        drawn = np.random.default_rng(61)
+        results = []
+        for op in ("fused", "composite"):
+            for t in (x, wd, b):
+                t.grad = None
+            if op == "fused":
+                out = dropout_depthwise(x, wd, b, drawn, upsample)
+            else:
+                r = bilinear_resize(x, 2 * h, 2 * w) if upsample else x
+                out = conv2d(dropped(r, "train", np.random.default_rng(61)), wd, b, pad=1,
+                             groups=c)
+            weight = np.random.default_rng(62).standard_normal(out.shape).astype(dtype)
+            backward(sum_(mul(out, weight)))
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in (x, wd, b)])
+        assert out.dtype == dtype and out.shape == (n, c, *hw)
+        assert results[0] == results[1]
+        ref = np.random.default_rng(61).bit_generator
+        ref.advance(-(-size // 64))
+        assert drawn.bit_generator.state == ref.state
+
+    @pytest.mark.parametrize("upsample", [False, True])
+    def test_finite_differences(self, upsample):
+        rng = np.random.default_rng(63)
+        x = Tensor(rng.standard_normal((2, 3, 3, 4)), np.float64)
+        wd = Tensor(rng.standard_normal((3, 1, 3, 3)), np.float64)
+        b = Tensor(rng.standard_normal(3), np.float64)
+        weight = rng.standard_normal((2, 3, 6, 8) if upsample else (2, 3, 3, 4))
+
+        def f(t):
+            return sum_(mul(dropout_depthwise(t, wd, b, np.random.default_rng(64), upsample),
+                            weight))
+
+        assert finite_diff_check(f, x) < 1e-8
+
+    @pytest.mark.parametrize("upsample", [False, True])
+    def test_closure_holds_no_output_sized_array(self, upsample):
+        """Past its inputs and the cached resize matrices, the backward
+        keeps only the raw words, one bit per element."""
+        rng = np.random.default_rng(65)
+        x = Tensor(rng.standard_normal((2, 4, 8, 8)).astype(np.float32))
+        w, b = _centre_tap(4)
+        out = dropout_depthwise(x, w, b, np.random.default_rng(0), upsample)
+        shared = [x.data, w.data, b.data, _linear_weights(8, 16, np.dtype(np.float32))]
+        held = [a for a in _closure_arrays(out._backward)
+                if not any(np.shares_memory(a, s) for s in shared)]
+        assert held and max(a.nbytes for a in held) <= out.data.nbytes // 32
+
     def test_missing_rng(self):
         with pytest.raises(UsageError):
-            dropout(Tensor(np.zeros(1)), "train")
+            dropout_depthwise(Tensor(np.zeros((1, 1, 2, 2))), *_centre_tap(1), None, False)
 
 
 class TestBackward:
@@ -955,7 +1063,8 @@ def _every_op_graph(rng):
     t = add(conv2d(channel_slice(t, 0, 2), channel_slice(w1, 0, 2), b1),
             conv2d(channel_slice(t, 2, 4), channel_slice(w1, 2, 4)))
     t = batch_norm(t, scale, shift, BatchNormState(4), "train")
-    t = layer_norm(dropout(channel_shuffle(t, 2), "train", np.random.default_rng(0)), scale, shift)
+    t = dropout_depthwise(channel_shuffle(t, 2), wdw, b1, np.random.default_rng(0), False)
+    t = layer_norm(t, scale, shift)
     t = concat([max_pool2x2(t), bilinear_resize(t, 3, 3)], axis=1)
     tokens = reshape(permute(t, (0, 2, 3, 1)), (2, 9, 8))
     attn = softmax(matmul(tokens, permute(tokens, (0, 2, 1))), -1)
@@ -1042,8 +1151,8 @@ def _random_graph(rng):
         lambda a, b: permute(permute(a, (0, 2, 3, 1)), (0, 3, 1, 2)),
         lambda a, b: channel_shuffle(a, 2),
         lambda a, b: concat([channel_slice(a, 1, c), channel_slice(b, 0, 1)], axis=1),
-        lambda a, b: dropout(a, "train", drop_rng),
-        lambda a, b: dropout(a, "eval"),
+        lambda a, b: dropout_depthwise(a, p["wdw"], p["b"], drop_rng, False),
+        lambda a, b: bilinear_resize(dropout_depthwise(a, p["wdw"], p["b"], drop_rng, True), h, w),
         lambda a, b: bilinear_resize(a, h, w),
         lambda a, b: bilinear_resize(max_pool2x2(a), h, w),
         lambda a, b: conv2d(a, p["w3"], pad=1),
