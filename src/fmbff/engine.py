@@ -40,6 +40,16 @@ and no backward closure, so the arrays only a backward pass would read are
 freed at once.  ``model.predict_probs`` runs its resizes and batches under
 it, and ``gradcheck`` its perturbed and repeated evaluations, none of which
 is ever differentiated.
+
+Per-call cost.  Many ops act on tiny arrays (the gates and their pooled
+descriptors, every op of the float64 gradient checks), where a call's fixed
+set-up, not its arithmetic, sets its time.  So ops call ufuncs and
+reductions directly rather than through NumPy's Python-level wrappers
+(``np.clip``, ``ndarray.mean``, ``take_along_axis``), and what depends only
+on a shape or a type is built once (``channel_shuffle``'s order,
+``sigmoid``'s bounds, the gradient functions of ``add``, ``sub`` and
+``mul``).  Each keeps the arithmetic, and its order, of the form it
+replaced, so outputs keep their bits.
 """
 
 from __future__ import annotations
@@ -191,13 +201,6 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _as_array(x, other):
-    """``x``'s array; a constant takes the element type of its operand ``other``."""
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=other.dtype)
-
-
 @functools.lru_cache(maxsize=None)
 def _nan_scalar(dtype):
     nan = np.full((), np.nan, dtype=dtype)
@@ -263,9 +266,12 @@ def backward(loss):
 
 
 def _binary(a, b, fwd, bwd_a, bwd_b, reads_operands):
-    """``bwd_a`` / ``bwd_b`` map (g, a's array, b's array) to each operand's
-    gradient; unless ``reads_operands``, the closure keeps only their shapes."""
-    ad, bd = _as_array(a, b), _as_array(b, a)
+    """``fwd`` is the ufunc; ``bwd_a`` / ``bwd_b`` map (g, a's array, b's
+    array) to each operand's gradient; unless ``reads_operands``, the closure
+    keeps only their shapes.  A constant operand (a scalar or plain array)
+    takes the element type of the other."""
+    ad = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=b.dtype)
+    bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=a.dtype)
     try:
         data = fwd(ad, bd)
     except ValueError as exc:
@@ -283,16 +289,33 @@ def _binary(a, b, fwd, bwd_a, bwd_b, reads_operands):
     return Tensor._from_op(data, (a, b), back)
 
 
+# The operand gradients of ``_binary``'s ops, built once rather than per call.
+def _same(g, x, y):
+    return g
+
+
+def _negated(g, x, y):
+    return -g
+
+
+def _times_y(g, x, y):
+    return g * y
+
+
+def _times_x(g, x, y):
+    return g * x
+
+
 def add(a, b):
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g, False)
+    return _binary(a, b, np.add, _same, _same, False)
 
 
 def sub(a, b):
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g, False)
+    return _binary(a, b, np.subtract, _same, _negated, False)
 
 
 def mul(a, b):
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x, True)
+    return _binary(a, b, np.multiply, _times_y, _times_x, True)
 
 
 def pow_(x, p):
@@ -324,14 +347,21 @@ def sum_(x):
 
 def mean_(x, axis=None):
     """Mean over every element, or over the tuple ``axis``, whose axes are
-    kept at size 1."""
-    n = x.size if axis is None else math.prod(x.shape[a] for a in axis)
-    data = x.data.mean(axis=axis, keepdims=axis is not None)
+    kept at size 1.
+
+    The sum and the division are ``ndarray.mean``'s without its wrapper: one
+    ``add.reduce``, then a division by the count as an ``intp``, so a float32
+    mean is divided in float64 and rounded once, as ``ndarray.mean`` does.
+    """
+    xd = x.data
+    s = np.add.reduce(xd, axis=axis, keepdims=True)
+    n = xd.size // max(s.size, 1)
+    np.true_divide(s, np.intp(n), out=s, casting="unsafe")
 
     def back(g):
         _accumulate(x, np.broadcast_to(np.asarray(g) / n, x.shape))
 
-    return Tensor._from_op(np.asarray(data), (x,), back)
+    return Tensor._from_op(s.reshape(()) if axis is None else s, (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +401,19 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
     per-channel multiply-add per tap, over chunks of channels that stay in
     cache (``_conv_depthwise``).
     """
-    if x.ndim != 4:
-        raise DimensionError(f"conv2d input must be 4-D, got shape {x.shape}")
-    if w.ndim != 4:
-        raise DimensionError(f"conv2d weight must be 4-D, got shape {w.shape}")
+    xd, wt = x.data, w.data
+    if xd.ndim != 4:
+        raise DimensionError(f"conv2d input must be 4-D, got shape {xd.shape}")
+    if wt.ndim != 4:
+        raise DimensionError(f"conv2d weight must be 4-D, got shape {wt.shape}")
     sh, sw = _pair(stride)
     ph, pw = _pair(pad)
     if sh < 1 or sw < 1:
         raise ConfigurationError(f"stride={stride} must be at least 1")
     if ph < 0 or pw < 0:
         raise ConfigurationError(f"pad={pad} must not be negative")
-    n, cin, h, wd = x.shape
-    cout, cg, kh, kw = w.shape
+    n, cin, h, wd = xd.shape
+    cout, cg, kh, kw = wt.shape
     if groups != 1 and not groups == cin == cout:
         raise ConfigurationError(
             f"groups={groups} must be 1 or, for a depthwise conv, equal in-channels {cin} "
@@ -392,8 +423,9 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
         raise DimensionError(
             f"weight channel axis is {cg}, expected {cin // groups} (= Cin/groups)"
         )
-    if b is not None and b.shape != (cout,):
-        raise DimensionError(f"bias shape {b.shape} != ({cout},)")
+    bd = None if b is None else b.data
+    if bd is not None and bd.shape != (cout,):
+        raise DimensionError(f"bias shape {bd.shape} != ({cout},)")
     ho = (h + 2 * ph - kh) // sh + 1
     wo = (wd + 2 * pw - kw) // sw + 1
     if ho < 1 or wo < 1:
@@ -401,15 +433,17 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
             f"spatial output extent would be {ho}x{wo} for input {h}x{wd}"
         )
 
-    # Each lowering gives its output and a function g -> (dx, dw).
-    xd = x.data
+    # Each lowering gives its output and a function g -> (dx, dw); the
+    # depthwise loop adds the bias as it writes each chunk.
     if groups == 1:
-        out, grads = _conv_gemm(xd, w.data, sh, sw, ph, pw, ho, wo)
+        out, grads = _conv_gemm(xd, wt, sh, sw, ph, pw, ho, wo)
+        if bd is not None:
+            out += bd[:, None, None]
     else:
         def load(lo, k, dst):
             dst[...] = xd[:, lo : lo + k].transpose(1, 0, 2, 3)
 
-        out, chunked = _conv_depthwise(xd.shape, xd.dtype, w.data, sh, sw, ph, pw, ho, wo, load)
+        out, chunked = _conv_depthwise(xd.shape, xd.dtype, wt, bd, sh, sw, ph, pw, ho, wo, load)
 
         def grads(g):
             dx = np.empty(xd.shape, dtype=xd.dtype)
@@ -419,9 +453,6 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
 
             return dx, chunked(g, load, unload)
 
-    if b is not None:
-        out += b.data[None, :, None, None]
-
     def back(g):
         if b is not None:
             _accumulate(b, g.sum(axis=(0, 2, 3)))
@@ -429,8 +460,7 @@ def conv2d(x, w, b=None, stride=1, pad=0, groups=1):
         _accumulate(w, dw)
         _accumulate(x, dx)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return Tensor._from_op(out, parents, back)
+    return Tensor._from_op(out, (x, w) if b is None else (x, w, b), back)
 
 
 class _small_ufunc_buffers:
@@ -445,7 +475,7 @@ class _small_ufunc_buffers:
         np.setbufsize(self._outer)
 
 
-def _conv_depthwise(shape, dtype, w, sh, sw, ph, pw, ho, wo, load):
+def _conv_depthwise(shape, dtype, w, b, sh, sw, ph, pw, ho, wo, load):
     """Depthwise conv as per-channel multiply-adds of shifted slices, over
     an input that is only ever read one chunk of channels at a time.
 
@@ -458,6 +488,7 @@ def _conv_depthwise(shape, dtype, w, sh, sw, ph, pw, ho, wo, load):
     of ``dgrid[c]`` with slice ``t``.  Channels go in chunks of about
     ``_CACHE_BYTES``, padded afresh in each pass, so a chunk's rows stay in
     cache across the taps and no padded copy of the input outlives the call.
+    The bias ``b`` (or None) is added as each chunk's output is written.
 
     ``shape`` and ``dtype`` describe the input; ``load(lo, k, dst)`` writes
     its channels ``lo:lo+k`` into ``dst``, a (k, N, H, W) view of the
@@ -472,7 +503,7 @@ def _conv_depthwise(shape, dtype, w, sh, sw, ph, pw, ho, wo, load):
     hp, wp = h + 2 * ph, wd + 2 * pw
     span = n * hp * wp
     shifts = [i * wp + j for i in range(kh) for j in range(kw)]
-    cols = w.reshape(c, kh * kw).T[:, :, None]  # cols[t][lo:lo+k] is tap t's (k, 1) weights
+    cols = w.reshape(c, kh * kw).T[:, :, None]  # cols[t, lo:lo+k] is tap t's (k, 1) weights
     m = max(1, min(c, _CACHE_BYTES // (span * dtype.itemsize)))
     chunks = [(lo, min(m, c - lo)) for lo in range(0, c, m)]
     interior = np.s_[:, :, ph : ph + h, pw : pw + wd]
@@ -488,13 +519,17 @@ def _conv_depthwise(shape, dtype, w, sh, sw, ph, pw, ho, wo, load):
     with _small_ufunc_buffers():
         for lo, k in chunks:
             load(lo, k, planes(pad, k)[interior])
-            rows, acc, prod = pad[:k], grid[:k], tmp[:k]
-            np.multiply(rows[:, :span], cols[0][lo : lo + k], out=acc)
+            rows, acc, prod, taps = pad[:k], grid[:k], tmp[:k], cols[:, lo : lo + k]
+            np.multiply(rows[:, :span], taps[0], out=acc)
             for t in range(1, kh * kw):
                 s = shifts[t]
-                np.multiply(rows[:, s : s + span], cols[t][lo : lo + k], out=prod)
+                np.multiply(rows[:, s : s + span], taps[t], out=prod)
                 acc += prod
-            out[:, lo : lo + k] = planes(grid, k)[picked].transpose(1, 0, 2, 3)
+            chunk = planes(grid, k)[picked].transpose(1, 0, 2, 3)
+            if b is None:
+                out[:, lo : lo + k] = chunk
+            else:
+                np.add(chunk, b[lo : lo + k, None, None], out=out[:, lo : lo + k])
 
     def grads(g, load, unload):
         dw = np.empty((c, kh * kw), dtype=w.dtype)
@@ -507,12 +542,12 @@ def _conv_depthwise(shape, dtype, w, sh, sw, ph, pw, ho, wo, load):
                 load(lo, k, planes(pad, k)[interior])
                 planes(dgrid, k)[picked] = g[:, lo : lo + k].transpose(1, 0, 2, 3)
                 rows, dg, drows, prod = pad[:k], dgrid[:k], dpad[:k], tmp[:k]
-                dg_row = dg[:, None]
-                np.multiply(dg, cols[0][lo : lo + k], out=drows[:, :span])
+                dg_row, taps = dg[:, None], cols[:, lo : lo + k]
+                np.multiply(dg, taps[0], out=drows[:, :span])
                 drows[:, span:] = 0
                 for t, s in enumerate(shifts):
                     if t:
-                        np.multiply(dg, cols[t][lo : lo + k], out=prod)
+                        np.multiply(dg, taps[t], out=prod)
                         drows[:, s : s + span] += prod
                     dw[lo : lo + k, t] = np.matmul(dg_row, rows[:, s : s + span, None])[:, 0, 0]
                 unload(lo, k, planes(dpad, k)[interior])
@@ -607,6 +642,7 @@ def dropout_depthwise(x, w, b, rng, upsample):
         )
     xd = x.data
     dtype = xd.dtype
+    h_in, w_in = h, wd
     if upsample:
         rh, rw = _linear_weights(h, 2 * h, dtype), _linear_weights(wd, 2 * wd, dtype)
         h, wd = 2 * h, 2 * wd
@@ -622,16 +658,15 @@ def dropout_depthwise(x, w, b, rng, upsample):
     def loader(keep):
         def load(lo, k, dst):
             t = xd[:, lo : lo + k]
-            if upsample:
-                t = np.matmul(np.matmul(rh, t), rw.T)
+            if upsample:  # the column pass as one GEMM over the chunk's rows
+                t = np.matmul(np.matmul(rh, t).reshape(-1, w_in), rw.T).reshape(n, k, h, wd)
             t = t * keep[:, lo : lo + k]  # contiguous, so cheaper than a product into dst
             t *= two
             dst[...] = t.transpose(1, 0, 2, 3)
 
         return load
 
-    out, grads = _conv_depthwise(shape, dtype, w.data, 1, 1, 1, 1, h, wd, loader(mask()))
-    out += b.data[None, :, None, None]
+    out, grads = _conv_depthwise(shape, dtype, w.data, b.data, 1, 1, 1, 1, h, wd, loader(mask()))
 
     def back(g):
         _accumulate(b, g.sum(axis=(0, 2, 3)))
@@ -644,7 +679,8 @@ def dropout_depthwise(x, w, b, rng, upsample):
             d *= keep[:, lo : lo + k]
             d *= two
             if upsample:
-                dx[:, lo : lo + k] = np.matmul(np.matmul(rh.T, d), rw)
+                d = np.matmul(rh.T, d).reshape(-1, wd)
+                dx[:, lo : lo + k] = np.matmul(d, rw).reshape(n, k, h_in, w_in)
 
         _accumulate(w, grads(g, loader(keep), unload))
         _accumulate(x, dx)
@@ -687,9 +723,10 @@ def max_pool2x2(x):
     xp_bits, out_bits = xp.view(bits), out.view(bits)
     takes = []
     for view in _WINDOW_VIEWS[1:]:
-        take = np.less_equal(xp[view], out)  # false where greater or either is NaN
-        np.logical_not(take, out=take)
-        take &= out == out  # a NaN already chosen stays
+        # v replaces out where it is greater or it alone is NaN (a NaN already
+        # chosen stays): (v <= out) xor (out == out), as v <= out implies out == out
+        take = np.less_equal(xp[view], out)
+        take ^= out == out
         diff = xp_bits[view] ^ out_bits
         diff *= take
         out_bits ^= diff
@@ -711,13 +748,16 @@ def global_max_pool(x):
     n, c, h, w = x.shape
     if h == 0 or w == 0:
         raise DimensionError("global_max_pool on empty spatial extent")
-    flat = x.data.reshape(n, c, h * w)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1).reshape(n, c, 1, 1)
+    flat = x.data.reshape(n * c, h * w)
+    # each plane's first maximum (its first NaN, if any) as an index into
+    # the flat map, which picks the element's bits as they are
+    pos = flat.argmax(axis=1)
+    pos += np.arange(0, flat.size, h * w)
+    out = flat.reshape(-1)[pos].reshape(n, c, 1, 1)
 
     def back(g):
-        gf = np.zeros((n, c, h * w), dtype=g.dtype)
-        np.put_along_axis(gf, idx[..., None], g.reshape(n, c, 1), axis=-1)
+        gf = np.zeros(n * c * h * w, dtype=g.dtype)
+        gf[pos] = g.reshape(-1)
         _accumulate(x, gf.reshape(n, c, h, w))
 
     return Tensor._from_op(out, (x,), back)
@@ -880,14 +920,26 @@ def relu(x):
     return Tensor._from_op(x.data * mask, (x,), lambda g: _accumulate(x, g * mask))
 
 
+@functools.lru_cache(maxsize=None)
+def _sigmoid_bounds(dtype):
+    """The open interval's ends in ``dtype``: its smallest normal number and
+    the largest number below 1."""
+    info = np.finfo(dtype)
+    return info.tiny, (np.float64(1.0) - info.epsneg).astype(dtype)
+
+
 def sigmoid(x):
     # expit-style stable evaluation: exp(-|x|) never overflows
-    e = np.exp(-np.abs(x.data))
-    data = (np.where(x.data >= 0, 1.0, e) / (1.0 + e)).astype(x.data.dtype)
-    # keep outputs strictly inside (0, 1) even when the exp saturates
-    tiny = np.finfo(data.dtype).tiny
-    eps1 = np.float64(1.0) - np.finfo(data.dtype).epsneg
-    data = np.clip(data, tiny, eps1.astype(data.dtype))
+    xd = x.data
+    e = np.exp(-np.abs(xd))
+    data = np.where(xd >= 0, 1.0, e)
+    data /= 1.0 + e
+    data = data.astype(xd.dtype, copy=False)
+    # keep outputs strictly inside (0, 1) even when the exp saturates; the
+    # ufuncs give np.clip's bits without its Python wrapper
+    lo, hi = _sigmoid_bounds(data.dtype)
+    np.maximum(data, lo, out=data)
+    np.minimum(data, hi, out=data)
 
     def back(g):
         _accumulate(x, g * data * (1.0 - data))
@@ -993,7 +1045,7 @@ def reshape(x, shape):
 
 def permute(x, axes):
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     data = x.data.transpose(axes)
     return Tensor._from_op(
         data, (x,), lambda g: _accumulate(x, g.transpose(inverse))
@@ -1008,14 +1060,15 @@ def concat(tensors, axis):
         raise DimensionError(
             f"concat shapes {[t.shape for t in tensors]} disagree off axis {axis}"
         ) from exc
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    lead = (slice(None),) * (axis % data.ndim)
+    parts, hi = [], 0
+    for t in tensors:
+        lo, hi = hi, hi + t.data.shape[axis]
+        parts.append(lead + (slice(lo, hi),))
 
     def back(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(sl)])
+        for t, part in zip(tensors, parts):
+            _accumulate(t, g[part])
 
     return Tensor._from_op(data, tensors, back)
 
@@ -1040,14 +1093,22 @@ def channel_shuffle(x, groups):
     c = x.shape[1]
     if groups < 1 or c % groups != 0:
         raise ConfigurationError(f"groups={groups} is not a positive divisor of {c} channels")
-    dest = (np.arange(c) % groups) * (c // groups) + np.arange(c) // groups
-    src = np.argsort(dest)
-    data = x.data[:, src]
+    src, dest = _shuffle_order(c, groups)
 
     def back(g):
-        _accumulate(x, g[:, dest])
+        _accumulate(x, g.take(dest, axis=1))
 
-    return Tensor._from_op(np.ascontiguousarray(data), (x,), back)
+    return Tensor._from_op(x.data.take(src, axis=1), (x,), back)
+
+
+@functools.lru_cache(maxsize=None)
+def _shuffle_order(c, groups):
+    """``channel_shuffle``'s (source, destination) channel indices, built
+    once per key and read-only: output channel j is input ``src[j]``."""
+    dest = (np.arange(c) % groups) * (c // groups) + np.arange(c) // groups
+    src = np.argsort(dest)
+    src.flags.writeable = dest.flags.writeable = False
+    return src, dest
 
 
 # ---------------------------------------------------------------------------

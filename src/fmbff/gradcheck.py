@@ -9,6 +9,8 @@ it stays inside a desk-scale time budget.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import blocks
@@ -91,10 +93,19 @@ def finite_diff_check(f, x):
     return err
 
 
+@functools.lru_cache(maxsize=None)
+def _scalar_weights(shape):
+    """``_scalarize``'s weights for one output shape: drawn once per shape
+    from a generator seeded 123, and read-only, since every evaluation of a
+    check shares them."""
+    w = np.random.default_rng(123).standard_normal(shape)
+    w.flags.writeable = False
+    return w
+
+
 def _scalarize(out):
     """Weighted sum so permutation/routing mistakes can't cancel out."""
-    w = np.random.default_rng(123).standard_normal(out.shape)
-    return sum_(mul(out, w))
+    return sum_(mul(out, _scalar_weights(out.shape)))
 
 
 def _named(store: ParamStore, x: Tensor):

@@ -49,7 +49,7 @@ from fmbff.errors import (
     StateError,
     UsageError,
 )
-from fmbff import blocks, gradcheck
+from fmbff import blocks, engine, gradcheck
 from fmbff.gradcheck import _gradient_errors, finite_diff_check
 from raw_bits import dropped, raw_bit_mask
 
@@ -57,6 +57,13 @@ from raw_bits import dropped, raw_bit_mask
 def gap(x):
     """Global average pool, the form the blocks use."""
     return mean_(x, axis=(2, 3))
+
+
+def _nan(dtype, payload, negative=False):
+    """A quiet NaN of ``dtype`` with the given payload bits."""
+    quiet, sign = {4: (0x7FC00000, 1 << 31), 8: (0x7FF8000000000000, 1 << 63)}[np.dtype(dtype).itemsize]
+    bits = quiet | payload | (sign if negative else 0)
+    return np.asarray(bits, f"u{np.dtype(dtype).itemsize}").view(dtype)[()]
 
 
 def t4(data):
@@ -265,6 +272,51 @@ class TestPooling:
 
     def test_global_max(self):
         assert global_max_pool(t4([[1, 2], [3, 4]])).data.reshape(()) == 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_global_max_bytes_first_maximum(self, dtype):
+        """A tie keeps its first maximum, a zero keeps its sign, the first
+        NaN wins with its payload, and the gradient goes to that element."""
+        planes = [
+            ([1.0, 3.0, 3.0, 2.0], 1),
+            ([-0.0, 0.0, -1.0, -0.0], 0),
+            ([-1.0, 0.0, -0.0, -3.0], 1),
+            ([1.0, _nan(dtype, 1), 5.0, _nan(dtype, 2, negative=True)], 1),
+            ([2.0, _nan(dtype, 3, negative=True), _nan(dtype, 4), 2.0], 1),
+            ([-np.inf] * 4, 0),
+        ]
+        data = np.asarray([values for values, _ in planes], dtype).reshape(1, len(planes), 2, 2)
+        first = [i for _, i in planes]
+        x = Tensor(data, dtype)
+        out = global_max_pool(x)
+        want = data.reshape(len(planes), 4)[np.arange(len(planes)), first]
+        assert out.data.dtype == dtype and out.data.shape == (1, len(planes), 1, 1)
+        assert out.data.tobytes() == want.tobytes()
+        g = np.arange(1, len(planes) + 1, dtype=dtype).reshape(out.shape)
+        backward(sum_(mul(out, g)))
+        dx = np.zeros((len(planes), 4), dtype)
+        dx[np.arange(len(planes)), first] = g.ravel()
+        assert x.grad.tobytes() == dx.reshape(data.shape).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [None, (2, 3), (1, 2, 3), (0, 2, 3)])
+    def test_mean_bytes_match_ndarray_mean(self, dtype, axis):
+        """``mean_`` gives ``ndarray.mean``'s bytes, NaN, +-inf and -0.0
+        included; a float32 mean is divided in float64 and rounded once."""
+        rng = np.random.default_rng(31)
+        finite = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
+        special = finite.copy()
+        special[0, 0, 1, 2] = _nan(dtype, 5)
+        special[1, 1, 2, 3] = np.inf
+        special[0, 2, 1, 1] = -np.inf
+        special[1, 2] = -0.0
+        special[1, 0, 0] = -0.0
+        for data in (finite, special, np.full_like(finite, -0.0)):
+            with np.errstate(invalid="ignore"):  # inf - inf in the plane sums
+                out = mean_(Tensor(data, dtype), axis=axis)
+                want = np.asarray(data.mean(axis=axis, keepdims=axis is not None))
+            assert out.data.dtype == want.dtype and out.data.shape == want.shape
+            assert out.data.tobytes() == want.tobytes()
 
     def test_constant_avg(self):
         x = Tensor(np.full((2, 3, 4, 4), 5.0, dtype=np.float32))
@@ -628,6 +680,25 @@ class TestActivations:
     def test_sigmoid_zero(self):
         assert sigmoid(Tensor(np.zeros(1))).data[0] == 0.5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bytes_match_clip_form(self, dtype):
+        """Pinned to the expression with ``np.clip`` that it replaced, bytes
+        and all, at the saturating and special inputs."""
+        def clip_form(x):
+            e = np.exp(-np.abs(x))
+            data = (np.where(x >= 0, 1.0, e) / (1.0 + e)).astype(x.dtype)
+            tiny = np.finfo(data.dtype).tiny
+            eps1 = np.float64(1.0) - np.finfo(data.dtype).epsneg
+            return np.clip(data, tiny, eps1.astype(data.dtype))
+
+        specials = [0.0, -0.0, 100.0, -100.0, 800.0, -800.0, np.inf, -np.inf,
+                    _nan(dtype, 0), _nan(dtype, 7, negative=True)]
+        spread = np.random.default_rng(37).standard_normal(64) * 30
+        x = np.concatenate([np.asarray(specials, dtype), spread.astype(dtype)])
+        out = sigmoid(Tensor(x, dtype))
+        want = clip_form(x)
+        assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+
     def test_relu(self):
         out = relu(Tensor(np.asarray([-2.0, 3.0])))
         np.testing.assert_array_equal(out.data, [0, 3])
@@ -778,6 +849,45 @@ class TestRearrange:
         x = Tensor(np.arange(4, dtype=np.float32).reshape(1, 4, 1, 1))
         with pytest.raises(ConfigurationError, match=f"groups={groups} "):
             channel_shuffle(x, groups)
+
+    @staticmethod
+    def check_shuffled(x, out, groups):
+        """Channel i of ``x`` is channel (i mod g) * (C/g) + i // g of ``out``."""
+        c = x.shape[1]
+        assert out.shape == x.shape
+        for i in range(c):
+            j = (i % groups) * (c // groups) + i // groups
+            assert out[:, j].tobytes() == x[:, i].tobytes()
+
+    @pytest.mark.parametrize("c,groups", [(4, 2), (6, 3), (8, 4), (12, 3), (6, 1), (6, 6)])
+    def test_channel_shuffle_permutation(self, c, groups):
+        x = Tensor(np.random.default_rng(c).random((2, c, 2, 3)))
+        out = channel_shuffle(x, groups)
+        self.check_shuffled(x.data, out.data, groups)
+        g = np.random.default_rng(c + 1).random(out.shape).astype(np.float32)
+        backward(sum_(mul(out, g)))
+        self.check_shuffled(x.grad, g, groups)
+
+    @pytest.mark.parametrize("c,groups", [(4, 2), (12, 3)])
+    def test_channel_shuffle_order_cached_read_only(self, c, groups):
+        """The order is built once per (C, groups), read-only, and no output
+        or gradient shares its memory, so a caller that writes to them
+        cannot change it."""
+        x = Tensor(np.random.default_rng(c).random((2, c, 2, 3)).astype(np.float32))
+        out = channel_shuffle(x, groups)
+        src, dest = engine._shuffle_order(c, groups)
+        assert not src.flags.writeable and not dest.flags.writeable
+        with pytest.raises(ValueError):
+            src[0] = src[-1]
+        before = src.tobytes(), dest.tobytes()
+        assert not np.shares_memory(out.data, src) and not np.shares_memory(out.data, dest)
+        out.data[...] = -1
+        backward(sum_(out))
+        assert not np.shares_memory(x.grad, src) and not np.shares_memory(x.grad, dest)
+        x.grad[...] = -1
+        self.check_shuffled(x.data, channel_shuffle(x, groups).data, groups)
+        assert engine._shuffle_order(c, groups)[0] is src
+        assert (src.tobytes(), dest.tobytes()) == before
 
     def test_channel_shuffle_bijection(self):
         x = Tensor(np.random.default_rng(8).random((1, 12, 2, 2)).astype(np.float32))
@@ -1289,6 +1399,22 @@ class TestFiniteDiff:
         with pytest.raises(UsageError):
             _gradient_errors(lambda: sum_(mul(x, float(rng.random()))), [("x", x)],
                              lambda t: [d / np.linalg.norm(d)])
+
+    def test_scalarize_weights_cached_and_read_only(self):
+        """Every evaluation of a check reads one cached, read-only weight
+        array per output shape, bitwise the draw it replaced, and a whole
+        suite leaves it as it was."""
+        shape = (1, 6, 12, 12)  # frm's output: 2 branch and 4 identity channels, upsampled
+        want = np.random.default_rng(123).standard_normal(shape)
+        gradcheck._scalar_weights.cache_clear()
+        w = gradcheck._scalar_weights(shape)
+        assert w.tobytes() == want.tobytes() and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0, 0, 0] = 0.0
+        gradcheck.run_suite("frm")
+        info = gradcheck._scalar_weights.cache_info()
+        assert info.misses == 1 and info.hits > 0  # every evaluation read this one entry
+        assert gradcheck._scalar_weights(shape) is w and w.tobytes() == want.tobytes()
 
     def test_block_suite_takes_one_backward(self, monkeypatch):
         """fmcab's 21 tensors (531 coordinates) share one backward; the block

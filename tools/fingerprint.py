@@ -1,4 +1,5 @@
-"""Print SHA-256 fingerprints of a default model's train steps and eval outputs.
+"""Print SHA-256 fingerprints of a default model's train steps and eval outputs,
+and of the float64 gradient checks.
 
 Two checkouts whose lines match compute the same bytes: use it to show that a
 change keeps every gradient, parameter and eval output as it was.  Run it
@@ -10,14 +11,17 @@ The first line hashes two train steps of the default 64x64 model on one
 synthetic batch of 8: after each step's backward every parameter gradient,
 and after each Adam update every parameter and batch-norm running statistic.
 The second line hashes the eval output of the trained model, recorded and
-under ``no_grad``.  It takes no options and needs only NumPy.
+under ``no_grad``.  The third line hashes the float64 bits of every
+``(name, error)`` pair that ``gradcheck.run_suite`` returns for its five
+suites: the tiny float64 shapes that the first two lines do not reach.  It
+takes no options and needs only NumPy.
 """
 
 import hashlib
 
 import numpy as np
 
-from fmbff import data, engine, model, train
+from fmbff import data, engine, gradcheck, model, train
 
 SEED = 0
 BATCH = 8
@@ -60,8 +64,15 @@ def main():
     with engine.no_grad():
         _feed(evals, "no_grad", _forward(params, x, "eval").data)
 
+    checks = hashlib.sha256()
+    for block in gradcheck.BLOCK_NAMES:
+        errors, _ = gradcheck.run_suite(block)
+        for name, err in errors:
+            _feed(checks, f"{block} {name}", np.float64(err))
+
     print(f"train_steps {steps.hexdigest()}")
     print(f"eval_outputs {evals.hexdigest()}")
+    print(f"gradcheck {checks.hexdigest()}")
 
 
 if __name__ == "__main__":
